@@ -196,6 +196,14 @@ struct Thm1Param {
   ClosureStyle style;
 };
 
+// Names the ctest case after seed and style (the default printer would dump
+// the struct's bytes, padding included).
+void PrintTo(const Thm1Param& p, std::ostream* os) {
+  *os << "seed" << p.seed
+      << (p.style == ClosureStyle::PaperExact ? "_PaperExact"
+                                              : "_DeterministicTarget");
+}
+
 class Theorem1 : public ::testing::TestWithParam<Thm1Param> {};
 
 TEST_P(Theorem1, RealComponentRefinesChaosOfLearnedModel) {

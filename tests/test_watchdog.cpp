@@ -66,6 +66,10 @@ struct WatchdogCase {
   synthesis::Verdict expected;
 };
 
+// Names the ctest case after the device (the default printer would print
+// the pointer, which changes from build to build).
+void PrintTo(const WatchdogCase& c, std::ostream* os) { *os << c.device; }
+
 class WatchdogIntegration : public ::testing::TestWithParam<WatchdogCase> {};
 
 TEST_P(WatchdogIntegration, VerdictsMatchTheDeviceQuality) {
