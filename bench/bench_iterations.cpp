@@ -5,19 +5,26 @@
 // knowledge; this table shows the bound is loose in practice — the loop
 // stops long before the model is complete.
 //
-// The harness runs every scenario twice — incrementalCompose off (the
-// original from-scratch recomposition) and on (IncrementalComposer arenas) —
-// asserts identical verdicts and iteration counts, and writes
-// BENCH_iterations.json with the recomposition-work comparison (schema in
-// docs/PERFORMANCE.md). A verdict/iteration mismatch fails the process
-// (the perf-smoke CI gate); timing never does. MUI_BENCH_SMOKE=1 restricts
-// the run to the small sizes.
+// The harness also replays every iteration's deadlock check both ways on
+// the same closures: on the fly (the explorer stops at the first deadlock,
+// as the loop does) and materialized (the full
+// product plus ctl::verify). The closures of iteration i are rebuilt from
+// the model a loop capped at i iterations learned. It writes
+// BENCH_iterations.json with both check times and the product states each
+// explored (schema in docs/PERFORMANCE.md). A divergence in the holds bit,
+// the counterexample run, or the number of failing checks against the
+// loop's iteration count fails the process (the perf-smoke CI gate);
+// timing never does. MUI_BENCH_SMOKE=1 restricts the run to the small
+// sizes.
 
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "automata/chaos.hpp"
+#include "automata/explorer.hpp"
 #include "bench_util.hpp"
+#include "ctl/counterexample.hpp"
 #include "testing/legacy.hpp"
 
 int main() {
@@ -29,14 +36,15 @@ int main() {
       "sub-behavior, deadlock-freedom requirement. Iterations grow roughly "
       "with the context-reachable part, not with the full component "
       "(Sec. 4.4 / Thm. 2: knowledge strictly increases and is bounded by "
-      "the complete model). Each scenario runs with incremental composition "
-      "off and on; 'recomposed' counts product states built from scratch "
-      "vs. interned fresh, 'reused' the arena hits.");
+      "the complete model). Every iteration's deadlock check is replayed on "
+      "the fly and materialized on the same closures; 'states' counts the "
+      "product states each explored.");
 
   util::TextTable table({"legacy states", "hidden trans", "verdict",
                          "iterations", "learned states", "learned trans",
-                         "learned refusals", "test periods", "scratch ms",
-                         "incr ms", "recomposed", "incr new", "incr reused"});
+                         "learned refusals", "test periods", "loop ms",
+                         "on-the-fly ms", "full ms", "on-the-fly states",
+                         "full states"});
   const std::vector<std::size_t> sizes =
       smoke ? std::vector<std::size_t>{4, 8}
             : std::vector<std::size_t>{4, 8, 16, 32, 64};
@@ -47,9 +55,9 @@ int main() {
   for (std::size_t si = 0; si < sizes.size(); ++si) {
     const std::size_t states = sizes[si];
     // Aggregate a few seeds per size.
-    double msScratch = 0, msIncr = 0;
+    double msLoop = 0, msOnTheFly = 0, msFull = 0;
     std::size_t iters = 0, lStates = 0, lTrans = 0, lForb = 0, hTrans = 0;
-    std::size_t composedScratch = 0, newIncr = 0, reusedIncr = 0;
+    std::size_t statesOnTheFly = 0, statesFull = 0;
     std::uint64_t periods = 0;
     std::string verdicts;
     bool match = true;
@@ -57,39 +65,68 @@ int main() {
     for (int seed = 1; seed <= kSeeds; ++seed) {
       bench::Scenario sc(states, static_cast<std::uint64_t>(seed) * 13,
                          /*contextKeepPct=*/60);
-      const auto runOnce = [&](bool incremental) {
+      const auto runLoop = [&](std::size_t maxIterations) {
         testing::AutomatonLegacy legacy(sc.hidden);
         synthesis::IntegrationConfig cfg;
-        cfg.incrementalCompose = incremental;
+        cfg.maxIterations = maxIterations;
         return synthesis::IntegrationVerifier(sc.context, legacy, cfg).run();
       };
-      bench::Stopwatch w1;
-      const auto scratch = runOnce(false);
-      msScratch += w1.ms();
-      bench::Stopwatch w2;
-      const auto incr = runOnce(true);
-      msIncr += w2.ms();
+      bench::Stopwatch loopWatch;
+      const auto res = runLoop(synthesis::IntegrationConfig{}.maxIterations);
+      msLoop += loopWatch.ms();
 
-      if (scratch.verdict != incr.verdict ||
-          scratch.iterations != incr.iterations) {
+      const auto alphabet =
+          automata::makeAlphabet(sc.hidden.inputs(), sc.hidden.outputs(),
+                                 automata::InteractionMode::AtMostOneSignal);
+      std::size_t failing = 0;
+      for (std::size_t i = 0; i < res.iterations; ++i) {
+        const automata::Closure closure = automata::chaoticClosure(
+            runLoop(i).learnedModels[0], alphabet,
+            automata::ClosureStyle::DeterministicTarget,
+            automata::ClosureCopies::Both);
+        const std::vector<const automata::Automaton*> parts{&sc.context,
+                                                            &closure.automaton};
+        bench::Stopwatch w1;
+        const auto partial = automata::explore(parts, {.stopAfterDeadlocks = 1});
+        const auto onTheFly = ctl::verify(partial, nullptr);
+        msOnTheFly += w1.ms();
+        bench::Stopwatch w2;
+        const auto full = automata::explore(parts);
+        const auto materialized = ctl::verify(full, nullptr);
+        msFull += w2.ms();
+        statesOnTheFly += partial.stateCount();
+        statesFull += full.stateCount();
+        failing += materialized.holds ? 0 : 1;
+        const bool same =
+            onTheFly.holds == materialized.holds &&
+            (onTheFly.holds ||
+             (onTheFly.cex().run.states == materialized.cex().run.states &&
+              onTheFly.cex().run.labels == materialized.cex().run.labels));
+        if (!same) {
+          std::fprintf(stderr,
+                       "MISMATCH: states %zu seed %d iteration %zu — the "
+                       "on-the-fly and materialized deadlock checks differ\n",
+                       states, seed, i);
+          match = false;
+        }
+      }
+      // Every iteration but a proving last one ends in a deadlock
+      // counterexample (the scenarios check deadlock freedom only).
+      const bool proven = res.verdict == synthesis::Verdict::ProvenCorrect;
+      if (failing != res.iterations - (proven ? 1 : 0)) {
         std::fprintf(stderr,
-                     "MISMATCH: states %zu seed %d — scratch %s/%zu iters, "
-                     "incremental %s/%zu iters\n",
-                     states, seed, bench::verdictName(scratch.verdict),
-                     scratch.iterations, bench::verdictName(incr.verdict),
-                     incr.iterations);
+                     "MISMATCH: states %zu seed %d — %zu iterations but %zu "
+                     "failing deadlock checks\n",
+                     states, seed, res.iterations, failing);
         match = false;
       }
-      composedScratch += scratch.totalProductStatesNew;
-      newIncr += incr.totalProductStatesNew;
-      reusedIncr += incr.totalProductStatesReused;
-      iters += incr.iterations;
-      lStates += incr.learnedModels[0].base().stateCount();
-      lTrans += incr.learnedModels[0].base().transitionCount();
-      lForb += incr.learnedModels[0].forbiddenCount();
-      periods += incr.totalTestPeriods;
+      iters += res.iterations;
+      lStates += res.learnedModels[0].base().stateCount();
+      lTrans += res.learnedModels[0].base().transitionCount();
+      lForb += res.learnedModels[0].forbiddenCount();
+      periods += res.totalTestPeriods;
       hTrans += sc.hidden.transitionCount();
-      verdicts += incr.verdict == synthesis::Verdict::ProvenCorrect ? 'P' : 'E';
+      verdicts += proven ? 'P' : 'E';
     }
     allMatch = allMatch && match;
     const auto avg = [&](std::size_t v) {
@@ -98,18 +135,19 @@ int main() {
     table.row({std::to_string(states), avg(hTrans), verdicts, avg(iters),
                avg(lStates), avg(lTrans), avg(lForb),
                avg(static_cast<std::size_t>(periods)),
-               util::fmt(msScratch / kSeeds, 1), util::fmt(msIncr / kSeeds, 1),
-               avg(composedScratch), avg(newIncr), avg(reusedIncr)});
+               util::fmt(msLoop / kSeeds, 1), util::fmt(msOnTheFly / kSeeds, 2),
+               util::fmt(msFull / kSeeds, 2), avg(statesOnTheFly),
+               avg(statesFull)});
     if (si) json += ',';
     json += "{\"legacyStates\":" + std::to_string(states) +
             ",\"seeds\":" + std::to_string(kSeeds) +
             ",\"iterations\":" + std::to_string(iters) +
-            ",\"scratchMs\":" + util::fmt(msScratch, 3) +
-            ",\"incrementalMs\":" + util::fmt(msIncr, 3) +
-            ",\"statesComposedScratch\":" + std::to_string(composedScratch) +
-            ",\"statesNewIncremental\":" + std::to_string(newIncr) +
-            ",\"statesReusedIncremental\":" + std::to_string(reusedIncr) +
-            ",\"verdictsMatch\":" + (match ? "true" : "false") + "}";
+            ",\"loopMs\":" + util::fmt(msLoop, 3) +
+            ",\"onTheFlyMs\":" + util::fmt(msOnTheFly, 3) +
+            ",\"materializedMs\":" + util::fmt(msFull, 3) +
+            ",\"statesOnTheFly\":" + std::to_string(statesOnTheFly) +
+            ",\"statesMaterialized\":" + std::to_string(statesFull) +
+            ",\"checksMatch\":" + (match ? "true" : "false") + "}";
   }
   json += "]}\n";
   std::printf("%s\n", table.str().c_str());

@@ -1,15 +1,12 @@
 #include "analysis/semantic.hpp"
 
 #include <algorithm>
-#include <cstdint>
 #include <deque>
 #include <limits>
 #include <map>
 #include <optional>
-#include <set>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -27,6 +24,7 @@ namespace mui::analysis {
 namespace {
 
 using automata::Automaton;
+using automata::Exploration;
 using automata::Interaction;
 using automata::SignalSet;
 using automata::StateId;
@@ -104,125 +102,6 @@ SafetyFragment splitSafety(const std::string& property) {
   return out;
 }
 
-// ---- Product exploration ---------------------------------------------------
-
-/// The synchronous product context ‖ partner, explored breadth-first under a
-/// state cap with the exact matching rule of automata::compose (Def. 3).
-/// Keeps the per-node origin pair, the BFS tree (for witness paths), edge
-/// silence (for the livelock rule), and which partner transitions fired
-/// (for the dead-transition rule).
-struct ProductGraph {
-  struct Edge {
-    std::size_t to;
-    bool silent;  // the joint interaction exchanges no signals
-  };
-
-  const Automaton* ctx = nullptr;
-  const Automaton* stub = nullptr;
-  std::vector<StateId> ctxState;   // per node
-  std::vector<StateId> stubState;  // per node
-  std::vector<std::size_t> parent;  // BFS tree; self-index for initials
-  std::vector<std::vector<Edge>> succ;
-  std::vector<char> expanded;
-  std::size_t initialCount = 0;  // nodes [0, initialCount) are initial
-  bool capped = false;
-  /// firedStub[s] parallels stub->transitionsFrom(s): transition fired in
-  /// some explored product step.
-  std::vector<std::vector<char>> firedStub;
-
-  [[nodiscard]] std::size_t size() const { return ctxState.size(); }
-  [[nodiscard]] std::string name(std::size_t n) const {
-    return ctx->stateName(ctxState[n]) + "|" + stub->stateName(stubState[n]);
-  }
-  [[nodiscard]] std::size_t depth(std::size_t n) const {
-    std::size_t d = 0;
-    while (parent[n] != n) {
-      n = parent[n];
-      ++d;
-    }
-    return d;
-  }
-};
-
-ProductGraph explore(const Automaton& ctx, const Automaton& stub,
-                     std::size_t cap) {
-  ProductGraph g;
-  g.ctx = &ctx;
-  g.stub = &stub;
-  g.firedStub.resize(stub.stateCount());
-  for (StateId s = 0; s < stub.stateCount(); ++s) {
-    g.firedStub[s].assign(stub.transitionsFrom(s).size(), 0);
-  }
-
-  std::unordered_map<std::uint64_t, std::size_t> ids;
-  const auto key = [](StateId a, StateId b) {
-    return (std::uint64_t{a} << 32) | b;
-  };
-  std::deque<std::size_t> work;
-  const auto ensure = [&](StateId a, StateId b,
-                          std::size_t from) -> std::size_t {
-    const auto it = ids.find(key(a, b));
-    if (it != ids.end()) return it->second;
-    if (g.size() >= cap) {
-      g.capped = true;
-      return kNone;
-    }
-    const std::size_t n = g.size();
-    ids.emplace(key(a, b), n);
-    g.ctxState.push_back(a);
-    g.stubState.push_back(b);
-    g.parent.push_back(from == kNone ? n : from);
-    g.succ.emplace_back();
-    g.expanded.push_back(0);
-    work.push_back(n);
-    return n;
-  };
-
-  for (StateId qa : ctx.initialStates()) {
-    for (StateId qb : stub.initialStates()) {
-      ensure(qa, qb, kNone);
-    }
-  }
-  g.initialCount = g.size();
-
-  while (!work.empty()) {
-    const std::size_t n = work.front();
-    work.pop_front();
-    const StateId sa = g.ctxState[n];
-    const StateId sb = g.stubState[n];
-    bool complete = true;
-    const auto& fromCtx = ctx.transitionsFrom(sa);
-    const auto& fromStub = stub.transitionsFrom(sb);
-    for (const auto& ta : fromCtx) {
-      for (std::size_t j = 0; j < fromStub.size(); ++j) {
-        const auto& tb = fromStub[j];
-        // Matching condition of Def. 3 (see automata/compose.cpp): what one
-        // side reads of the other's outputs must be exactly what the other
-        // writes into its inputs.
-        if ((ta.label.in & stub.outputs()) != (tb.label.out & ctx.inputs())) {
-          continue;
-        }
-        if ((tb.label.in & ctx.outputs()) != (ta.label.out & stub.inputs())) {
-          continue;
-        }
-        const std::size_t to = ensure(ta.to, tb.to, n);
-        if (to == kNone) {
-          complete = false;
-          continue;
-        }
-        g.firedStub[sb][j] = 1;
-        const Interaction joint{ta.label.in | tb.label.in,
-                                ta.label.out | tb.label.out};
-        g.succ[n].push_back({to, joint.idle()});
-      }
-    }
-    // A node whose successor set was truncated by the cap must not be
-    // mistaken for a deadlock.
-    g.expanded[n] = complete ? 1 : 0;
-  }
-  return g;
-}
-
 // ---- Propositional evaluation ----------------------------------------------
 
 /// Evaluates a propositional body at one product node. Atom semantics mirror
@@ -231,8 +110,7 @@ ProductGraph explore(const Automaton& ctx, const Automaton& stub,
 /// (no outgoing product transition) and only trustworthy on expanded nodes.
 class PropEval {
  public:
-  explicit PropEval(const ProductGraph& g)
-      : g_(g), props_(*g.ctx->propTable()) {}
+  explicit PropEval(const Exploration& g) : g_(g), props_(*g.propTable()) {}
 
   [[nodiscard]] bool eval(const ctl::Formula* f, std::size_t n) const {
     switch (f->op) {
@@ -241,12 +119,11 @@ class PropEval {
       case ctl::Op::False:
         return false;
       case ctl::Op::Deadlock:
-        return g_.succ[n].empty();
+        return g_.edges(static_cast<StateId>(n)).empty();
       case ctl::Op::Atom: {
         const auto id = props_.lookup(f->atom);
         if (!id) return false;
-        return g_.ctx->labels(g_.ctxState[n]).test(*id) ||
-               g_.stub->labels(g_.stubState[n]).test(*id);
+        return g_.hasLabel(static_cast<StateId>(n), *id);
       }
       case ctl::Op::Not:
         return !eval(f->lhs.get(), n);
@@ -262,7 +139,7 @@ class PropEval {
   }
 
  private:
-  const ProductGraph& g_;
+  const Exploration& g_;
   const util::NameTable& props_;
 };
 
@@ -273,20 +150,22 @@ class PropEval {
 /// reverse post-order). idom[n] == kNone means "dominated by the root only"
 /// (or unreachable). The chain idom*(target) is exactly the set of states
 /// every path from an initial state to `target` must pass through.
-std::vector<std::size_t> immediateDominators(const ProductGraph& g) {
-  const std::size_t n = g.size();
+std::vector<std::size_t> immediateDominators(const Exploration& g) {
+  const std::size_t n = g.stateCount();
+  const std::size_t initialCount = g.initialStates().size();
   std::vector<std::size_t> order;  // post-order
   order.reserve(n);
   std::vector<char> seen(n, 0);
-  for (std::size_t r = 0; r < g.initialCount; ++r) {
+  for (std::size_t r = 0; r < initialCount; ++r) {
     if (seen[r]) continue;
     // Iterative DFS with an explicit edge cursor.
     std::vector<std::pair<std::size_t, std::size_t>> stack{{r, 0}};
     seen[r] = 1;
     while (!stack.empty()) {
       auto& [v, cursor] = stack.back();
-      if (cursor < g.succ[v].size()) {
-        const std::size_t w = g.succ[v][cursor++].to;
+      const auto succ = g.edges(static_cast<StateId>(v));
+      if (cursor < succ.size()) {
+        const std::size_t w = succ[cursor++].to;
         if (!seen[w]) {
           seen[w] = 1;
           stack.emplace_back(w, 0);
@@ -304,13 +183,15 @@ std::vector<std::size_t> immediateDominators(const ProductGraph& g) {
   }
   std::vector<std::vector<std::size_t>> preds(n);
   for (std::size_t v = 0; v < n; ++v) {
-    for (const auto& e : g.succ[v]) preds[e.to].push_back(v);
+    for (const auto& e : g.edges(static_cast<StateId>(v))) {
+      preds[e.to].push_back(v);
+    }
   }
 
   // idom in node indices; kNone plays the role of the virtual root.
   std::vector<std::size_t> idom(n, kNone);
   std::vector<char> processed(n, 0);
-  for (std::size_t r = 0; r < g.initialCount; ++r) processed[r] = 1;
+  for (std::size_t r = 0; r < initialCount; ++r) processed[r] = 1;
 
   const auto intersect = [&](std::size_t a, std::size_t b) {
     // Walk both fingers up to the common dominator; kNone (the root)
@@ -334,7 +215,7 @@ std::vector<std::size_t> immediateDominators(const ProductGraph& g) {
     // order[] is post-order; iterating it back to front is RPO.
     for (std::size_t i = order.size(); i-- > 0;) {
       const std::size_t v = order[i];
-      if (v < g.initialCount) continue;  // initials: dominated by the root
+      if (v < initialCount) continue;  // initials: dominated by the root
       std::size_t best = kNone;
       bool first = true;
       for (const std::size_t p : preds[v]) {
@@ -369,12 +250,11 @@ std::vector<std::size_t> mustPassChain(const std::vector<std::size_t>& idom,
 
 // ---- Tarjan SCCs -----------------------------------------------------------
 
-/// Iterative Tarjan over a successor-list graph. Returns the component id
-/// per node and the component count.
-std::vector<std::size_t> stronglyConnected(
-    const std::vector<std::vector<ProductGraph::Edge>>& succ,
-    std::size_t& componentCount) {
-  const std::size_t n = succ.size();
+/// Iterative Tarjan over an explored graph. Returns the component id per
+/// node and the component count.
+std::vector<std::size_t> stronglyConnected(const Exploration& g,
+                                           std::size_t& componentCount) {
+  const std::size_t n = g.stateCount();
   std::vector<std::size_t> comp(n, kNone), low(n, 0), index(n, kNone);
   std::vector<std::size_t> stack;
   std::vector<char> onStack(n, 0);
@@ -396,8 +276,9 @@ std::vector<std::size_t> stronglyConnected(
         stack.push_back(v);
         onStack[v] = 1;
       }
-      if (f.cursor < succ[v].size()) {
-        const std::size_t w = succ[v][f.cursor++].to;
+      const auto succ = g.edges(static_cast<StateId>(v));
+      if (f.cursor < succ.size()) {
+        const std::size_t w = succ[f.cursor++].to;
         if (index[w] == kNone) {
           frames.push_back({w, 0});
         } else if (onStack[w]) {
@@ -427,7 +308,7 @@ std::vector<std::size_t> stronglyConnected(
 // ---- Integration analysis (MUI101/MUI102 substrate) ------------------------
 
 struct IntegrationAnalysis {
-  ProductGraph graph;
+  Exploration graph;  // context ‖ stub under the state cap
   SafetyFragment fragment;
   PresolveOutcome outcome;
   /// Refutation witness: violating/deadlocked node, and the violated AG
@@ -460,9 +341,9 @@ IntegrationAnalysis analyzeIntegration(const Automaton& context,
   }
   // Even with no supported conjunct the exploration is worthwhile: a
   // reachable deadlock refutes φ ∧ ¬δ outright.
-  a.graph = explore(context, hidden, opts.stateCap);
-  const ProductGraph& g = a.graph;
-  out.productStates = g.size();
+  a.graph = automata::explore({&context, &hidden}, {.stateCap = opts.stateCap});
+  const Exploration& g = a.graph;
+  out.productStates = g.stateCount();
   const PropEval eval(g);
 
   // Refutation 1: a reachable state violating a supported AG conjunct.
@@ -471,16 +352,17 @@ IntegrationAnalysis analyzeIntegration(const Automaton& context,
   // only evaluated when the graph is complete (succ sets are exact).
   for (const ctl::Formula* ag : a.fragment.agConjuncts) {
     const ctl::Formula* body = ag->lhs.get();
-    if (g.capped && mentionsDeadlock(body)) continue;
-    for (std::size_t n = 0; n < g.size(); ++n) {
-      if (g.capped && !g.expanded[n] && mentionsDeadlock(body)) continue;
+    if (g.capped() && mentionsDeadlock(body)) continue;
+    for (StateId n = 0; n < g.stateCount(); ++n) {
+      if (g.capped() && !g.expanded(n) && mentionsDeadlock(body)) continue;
       if (!eval.eval(body, n)) {
         a.witness = n;
         a.violated = ag;
         out.verdict = PresolveVerdict::Refuted;
         out.ruleId = kGuaranteedViolation;
         out.explanation = "presolved: real error - reachable state '" +
-                          g.name(n) + "' (depth " + std::to_string(g.depth(n)) +
+                          g.stateName(n) + "' (depth " +
+                          std::to_string(g.runTo(n).length()) +
                           ") violates '" + ag->toString() + "'";
         return a;
       }
@@ -490,14 +372,14 @@ IntegrationAnalysis analyzeIntegration(const Automaton& context,
   // Refutation 2: a top-level propositional conjunct failing at an initial
   // state.
   for (const ctl::Formula* now : a.fragment.nowConjuncts) {
-    if (g.capped && mentionsDeadlock(now)) continue;
-    for (std::size_t n = 0; n < g.initialCount; ++n) {
+    if (g.capped() && mentionsDeadlock(now)) continue;
+    for (const StateId n : g.initialStates()) {
       if (!eval.eval(now, n)) {
         a.witness = n;
         out.verdict = PresolveVerdict::Refuted;
         out.ruleId = kGuaranteedViolation;
         out.explanation =
-            "presolved: real error - initial state '" + g.name(n) +
+            "presolved: real error - initial state '" + g.stateName(n) +
             "' violates '" + now->toString() + "'";
         return a;
       }
@@ -506,16 +388,16 @@ IntegrationAnalysis analyzeIntegration(const Automaton& context,
 
   // Refutation 3: a reachable deadlock (¬δ is part of every integration
   // check). Only trustworthy on a completely explored graph.
-  if (!g.capped) {
-    for (std::size_t n = 0; n < g.size(); ++n) {
-      if (g.succ[n].empty()) {
+  if (!g.capped()) {
+    for (StateId n = 0; n < g.stateCount(); ++n) {
+      if (g.edges(n).empty()) {
         a.witness = n;
         a.witnessIsDeadlock = true;
         out.verdict = PresolveVerdict::Refuted;
         out.ruleId = kGuaranteedViolation;
         out.explanation = "presolved: real error - reachable deadlock state '" +
-                          g.name(n) + "' (depth " +
-                          std::to_string(g.depth(n)) + ")";
+                          g.stateName(n) + "' (depth " +
+                          std::to_string(g.runTo(n).length()) + ")";
         return a;
       }
     }
@@ -523,7 +405,7 @@ IntegrationAnalysis analyzeIntegration(const Automaton& context,
 
   // Proof: every conjunct supported, none violated, no deadlock, graph
   // complete.
-  if (a.fragment.complete && !g.capped) {
+  if (a.fragment.complete && !g.capped()) {
     out.verdict = PresolveVerdict::Proved;
     out.ruleId = kStaticallyProven;
     out.explanation =
@@ -531,11 +413,12 @@ IntegrationAnalysis analyzeIntegration(const Automaton& context,
         std::string(property.empty()
                         ? "deadlock freedom holds"
                         : "AG-safety property and deadlock freedom hold") +
-        " on all " + std::to_string(g.size()) + " reachable product states";
+        " on all " + std::to_string(g.stateCount()) +
+        " reachable product states";
     return a;
   }
 
-  out.explanation = g.capped
+  out.explanation = g.capped()
                         ? "state cap (" + std::to_string(opts.stateCap) +
                               ") exceeded before a definitive verdict"
                         : "property outside the AG-safety fragment";
@@ -617,53 +500,38 @@ class SemanticAnalyzer {
                            const std::vector<std::string>& partNames,
                            const std::vector<char>& partIsRole,
                            const util::SourceLoc& loc) {
-    std::optional<automata::Product> composed;
+    std::optional<Exploration> composed;
     try {
       std::vector<const Automaton*> ptrs;
       ptrs.reserve(parts.size());
       for (const auto& part : parts) ptrs.push_back(&part);
-      composed = automata::composeAll(ptrs);
+      composed = automata::explore(ptrs, {.stateCap = opts_.stateCap});
     } catch (const std::exception&) {
       return;  // not composable: MUI004 reports the cause
     }
-    const automata::Product& prod = *composed;
-    const Automaton& pa = prod.automaton;
-    if (pa.stateCount() > opts_.stateCap) return;
+    const Exploration& g = *composed;
+    if (g.capped()) return;
 
-    std::vector<std::vector<ProductGraph::Edge>> succ(pa.stateCount());
-    for (StateId s = 0; s < pa.stateCount(); ++s) {
-      for (const auto& t : pa.transitionsFrom(s)) {
-        succ[s].push_back({t.to, t.label.idle()});
-      }
-    }
-    reportLivelocks(p.name, "pattern '" + p.name + "'", loc, succ,
-                    [&](std::size_t s) {
-                      return pa.stateName(static_cast<StateId>(s));
-                    });
+    reportLivelocks(p.name, "pattern '" + p.name + "'", loc, g);
 
     // MUI104: a role transition that fires in no reachable product step,
     // although its source state is visited.
     for (std::size_t k = 0; k < parts.size(); ++k) {
       if (!partIsRole[k]) continue;
-      std::set<std::string> fired;
       std::vector<char> visited(parts[k].stateCount(), 0);
-      for (StateId ps = 0; ps < pa.stateCount(); ++ps) {
-        visited[prod.origins[ps][k]] = 1;
-        for (const auto& t : pa.transitionsFrom(ps)) {
-          fired.insert(transitionKey(parts[k], prod.origins[ps][k],
-                                     prod.projectInteraction(t.label, k),
-                                     prod.origins[t.to][k]));
-        }
+      for (StateId ps = 0; ps < g.stateCount(); ++ps) {
+        visited[g.origin(ps)[k]] = 1;
       }
       for (StateId s = 0; s < parts[k].stateCount(); ++s) {
         if (!visited[s]) continue;  // MUI001-style causes, not dead syncs
-        for (const auto& t : parts[k].transitionsFrom(s)) {
-          if (fired.count(transitionKey(parts[k], s, t.label, t.to))) continue;
+        const auto& ts = parts[k].transitionsFrom(s);
+        for (std::size_t j = 0; j < ts.size(); ++j) {
+          if (g.fired(k, s, j)) continue;
           emit(kDeadTransition, p.name,
                "pattern '" + p.name + "': " + partNames[k] + " transition '" +
                    parts[k].stateName(s) + " -" +
-                   parts[k].interactionToString(t.label) + "-> " +
-                   parts[k].stateName(t.to) +
+                   parts[k].interactionToString(ts[j].label) + "-> " +
+                   parts[k].stateName(ts[j].to) +
                    "' fires in no reachable step of the role composition",
                loc);
         }
@@ -671,36 +539,28 @@ class SemanticAnalyzer {
     }
   }
 
-  static std::string transitionKey(const Automaton& a, StateId from,
-                                   const Interaction& x, StateId to) {
-    return std::to_string(from) + "|" + a.interactionToString(x) + "|" +
-           std::to_string(to);
-  }
-
-  /// MUI103 over any transition system given as silent-flagged successor
-  /// lists: reachable non-trivial SCCs whose internal steps exchange no
-  /// signals and which cannot be left.
-  template <typename NameOf>
+  /// MUI103 over an explored product: reachable non-trivial SCCs whose
+  /// internal steps exchange no signals and which cannot be left.
   void reportLivelocks(const std::string& subject, const std::string& where,
-                       const util::SourceLoc& loc,
-                       const std::vector<std::vector<ProductGraph::Edge>>& succ,
-                       NameOf&& nameOf) {
-    const std::size_t stateCount = succ.size();
+                       const util::SourceLoc& loc, const Exploration& g) {
+    const std::size_t stateCount = g.stateCount();
+    const auto nameOf = [&](std::size_t s) {
+      return g.stateName(static_cast<StateId>(s));
+    };
     std::size_t componentCount = 0;
-    const std::vector<std::size_t> comp =
-        stronglyConnected(succ, componentCount);
+    const std::vector<std::size_t> comp = stronglyConnected(g, componentCount);
 
     std::vector<std::size_t> compSize(componentCount, 0);
     std::vector<char> nontrivial(componentCount, 0), exits(componentCount, 0),
         loud(componentCount, 0);
     for (std::size_t s = 0; s < stateCount; ++s) ++compSize[comp[s]];
     for (std::size_t s = 0; s < stateCount; ++s) {
-      for (const auto& e : succ[s]) {
+      for (const auto& e : g.edges(static_cast<StateId>(s))) {
         if (comp[e.to] != comp[s]) {
           exits[comp[s]] = 1;
         } else {
           nontrivial[comp[s]] = 1;  // an internal edge: cycle exists
-          if (!e.silent) loud[comp[s]] = 1;
+          if (!g.interaction(e.label).idle()) loud[comp[s]] = 1;
         }
       }
     }
@@ -775,9 +635,8 @@ class SemanticAnalyzer {
         emitRefutation(candName, where, candLoc, a, context, stub);
       }
 
-      if (!a.graph.capped && a.graph.size() > 0) {
-        reportLivelocks(candName, where, candLoc, a.graph.succ,
-                        [&](std::size_t n) { return a.graph.name(n); });
+      if (!a.graph.capped() && a.graph.stateCount() > 0) {
+        reportLivelocks(candName, where, candLoc, a.graph);
         checkDeadStubTransitions(candName, where, candLoc, a.graph, stub);
       }
     }
@@ -824,14 +683,14 @@ class SemanticAnalyzer {
   void checkDeadStubTransitions(const std::string& subject,
                                 const std::string& where,
                                 const util::SourceLoc& loc,
-                                const ProductGraph& g, const Automaton& stub) {
+                                const Exploration& g, const Automaton& stub) {
     std::vector<char> visited(stub.stateCount(), 0);
-    for (std::size_t n = 0; n < g.size(); ++n) visited[g.stubState[n]] = 1;
+    for (StateId n = 0; n < g.stateCount(); ++n) visited[g.origin(n)[1]] = 1;
     for (StateId s = 0; s < stub.stateCount(); ++s) {
       if (!visited[s]) continue;
       const auto& ts = stub.transitionsFrom(s);
       for (std::size_t j = 0; j < ts.size(); ++j) {
-        if (g.firedStub[s][j]) continue;
+        if (g.fired(1, s, j)) continue;
         emit(kDeadTransition, subject,
              where + ": transition '" + stub.stateName(s) + " -" +
                  stub.interactionToString(ts[j].label) + "-> " +
@@ -849,7 +708,8 @@ class SemanticAnalyzer {
     for (const ctl::Formula* ag : a.fragment.agConjuncts) {
       if (related.size() >= opts_.maxRelated) break;
       related.push_back({"conjunct '" + ag->toString() + "': no reachable " +
-                             "state among " + std::to_string(a.graph.size()) +
+                             "state among " +
+                             std::to_string(a.graph.stateCount()) +
                              " can violate it",
                          {}});
     }
@@ -859,7 +719,7 @@ class SemanticAnalyzer {
              (property.empty() ? std::string("deadlock freedom holds")
                                : "the AG-safety property and deadlock "
                                  "freedom hold") +
-             " on all " + std::to_string(a.graph.size()) +
+             " on all " + std::to_string(a.graph.stateCount()) +
              " reachable product states; the engine pre-solves this "
              "integration to proven",
          loc, std::move(related));
@@ -869,19 +729,20 @@ class SemanticAnalyzer {
                       const util::SourceLoc& loc, const IntegrationAnalysis& a,
                       const Automaton& context, const Automaton& stub) {
     std::vector<RelatedNote> related;
+    const auto witness = static_cast<StateId>(a.witness);
     // Dominator-style must-pass chain: the states every counterexample
     // must traverse to reach the witness.
     const std::vector<std::size_t> idom = immediateDominators(a.graph);
     for (const std::size_t d :
          mustPassChain(idom, a.witness, opts_.maxRelated)) {
       related.push_back({"every path to the violation passes through '" +
-                             a.graph.name(d) + "'",
+                             a.graph.stateName(static_cast<StateId>(d)) + "'",
                          {}});
     }
     related.push_back(
         {a.witnessIsDeadlock
-             ? "witness '" + a.graph.name(a.witness) + "' deadlocks"
-             : "witness '" + a.graph.name(a.witness) + "' violates '" +
+             ? "witness '" + a.graph.stateName(witness) + "' deadlocks"
+             : "witness '" + a.graph.stateName(witness) + "' violates '" +
                    (a.violated ? a.violated->toString()
                                : std::string("an initial-state conjunct")) +
                    "'",
@@ -892,7 +753,7 @@ class SemanticAnalyzer {
              (a.witnessIsDeadlock
                   ? "a deadlock is reachable"
                   : "a property violation is reachable") +
-             " at depth " + std::to_string(a.graph.depth(a.witness)) +
+             " at depth " + std::to_string(a.graph.runTo(witness).length()) +
              "; the engine pre-solves this integration to real-error",
          loc, std::move(related));
   }
@@ -918,18 +779,18 @@ class SemanticAnalyzer {
                                  automata::InteractionMode::AtMostOneSignal),
           automata::ClosureStyle::DeterministicTarget,
           automata::ClosureCopies::Both);
-      const ProductGraph g =
-          explore(context, closure.automaton, opts_.stateCap);
-      for (std::size_t n = 0; n < g.size(); ++n) {
-        if (closure.isChaos(g.stubState[n])) {
+      const Exploration g = automata::explore({&context, &closure.automaton},
+                                              {.stateCap = opts_.stateCap});
+      for (StateId n = 0; n < g.stateCount(); ++n) {
+        if (closure.isChaos(g.origin(n)[1])) {
           return "the iteration-0 chaotic closure reaches chaos ('" +
-                 closure.automaton.stateName(g.stubState[n]) + "') at depth " +
-                 std::to_string(g.depth(n)) +
+                 closure.automaton.stateName(g.origin(n)[1]) + "') at depth " +
+                 std::to_string(g.runTo(n).length()) +
                  "; the refinement loop must learn before concluding on its "
                  "own";
         }
       }
-      return g.capped ? "iteration-0 chaos reachability not decided (cap)"
+      return g.capped() ? "iteration-0 chaos reachability not decided (cap)"
                       : "the iteration-0 chaotic closure never reaches "
                         "chaos: the pessimistic product alone decides this "
                         "integration";

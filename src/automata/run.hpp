@@ -22,6 +22,8 @@ struct Run {
   std::vector<Interaction> labels;
   bool deadlock = false;
 
+  bool operator==(const Run&) const = default;
+
   [[nodiscard]] bool wellFormed() const {
     if (states.empty()) return false;
     return deadlock ? states.size() == labels.size()

@@ -1,6 +1,8 @@
 #pragma once
 // Explicit-state CCTL model checker over the discrete-time automaton model —
-// the RAVEN-replacing substrate (DESIGN.md §2).
+// the RAVEN-replacing substrate (DESIGN.md §2). It reads a product straight
+// from automata::explore; a plain Automaton is read through
+// automata::flatten.
 //
 // Evaluation computes the satisfaction set of every subformula over all
 // states; the verdict is taken over the initial states. Maximal paths may be
@@ -18,17 +20,19 @@
 // (ctl/reference.hpp). Satisfaction sets are dense bitsets (one bit per
 // state, word-parallel boolean connectives).
 
+#include <memory>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
-#include "automata/automaton.hpp"
+#include "automata/explorer.hpp"
 #include "ctl/formula.hpp"
 #include "util/bitset.hpp"
 
 namespace mui::ctl {
 
 using automata::Automaton;
+using automata::Exploration;
 using automata::StateId;
 
 /// Per-state satisfaction set: bit s = "state s satisfies the formula".
@@ -36,6 +40,9 @@ using SatSet = util::DenseBitset;
 
 class Checker {
  public:
+  /// The exploration (or automaton) must outlive the checker. A partial
+  /// exploration's unexpanded states are never deadlock states.
+  explicit Checker(const Exploration& g);
   explicit Checker(const Automaton& m);
 
   /// Satisfaction set (per state) of `f`.
@@ -58,9 +65,8 @@ class Checker {
     return unknownAtoms_;
   }
 
-  [[nodiscard]] const Automaton& model() const { return m_; }
-
  private:
+  void buildIndex();
   SatSet atomSat(const std::string& name);
 
   // Unbounded fixpoints (worklist, O(S + E) each).
@@ -92,7 +98,8 @@ class Checker {
     }
   }
 
-  const Automaton& m_;
+  std::shared_ptr<const Exploration> owned_;  // flattened Automaton input
+  const Exploration& g_;
   // Duplicate-free edge set in CSR form, forwards and backwards.
   std::vector<std::uint32_t> succHead_;  // size n+1
   std::vector<StateId> succList_;

@@ -28,6 +28,8 @@ struct Counterexample {
   /// shape outside the supported ACTL fragment).
   bool pathExact = true;
   std::string note;
+
+  bool operator==(const Counterexample&) const = default;
 };
 
 /// Counterexample search order — experiment E7 compares these (paper Sec. 7
@@ -64,7 +66,13 @@ struct VerifyResult {
 /// Checks m ⊨ φ ∧ ¬δ (the ¬δ conjunct iff requireDeadlockFree) and produces
 /// counterexamples on failure. Property violations are searched before
 /// deadlocks only if the property fails; otherwise deadlock reachability is
-/// reported. Pass phi == nullptr to check deadlock freedom alone.
+/// reported. Pass phi == nullptr to check deadlock freedom alone; then `m`
+/// may be an exploration stopped at its k-th deadlock for any k >=
+/// opts.maxCounterexamples under CexSearch::Shortest, which checks ¬δ on the
+/// fly with the same result. An Automaton is checked through
+/// automata::flatten.
+VerifyResult verify(const automata::Exploration& m, const FormulaPtr& phi,
+                    const VerifyOptions& opts = {});
 VerifyResult verify(const automata::Automaton& m, const FormulaPtr& phi,
                     const VerifyOptions& opts = {});
 

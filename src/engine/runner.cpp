@@ -282,8 +282,6 @@ JobResult runJob(const Job& job, TextCache& texts, ResultCache& results,
     out.composeMs = res.totalComposeMs;
     out.checkMs = res.totalCheckMs;
     out.testMs = res.totalTestMs;
-    out.productStatesNew = res.totalProductStatesNew;
-    out.productStatesReused = res.totalProductStatesReused;
 
     if (out.status != JobStatus::Timeout &&
         out.status != JobStatus::EngineError && !external) {

@@ -310,13 +310,11 @@ OracleResult checkO3(const Scenario& s, const OracleOptions& opts) {
   return {};
 }
 
-// ---- O4: incremental composition vs full recomposition --------------------
+// ---- O4: explorer vs the Def. 3 reference fold ---------------------------
 
 OracleResult checkO4(const Scenario& s, const OracleOptions&) {
   util::Rng rng(s.seed * 0x9e3779b97f4a7c15ull + 0xf4);
-  // A partial revision of the hidden model over the same state set, as the
-  // refinement loop produces between iterations (the composer keys arena
-  // entries by state id, so the state set must stay aligned across calls).
+  // A partial revision of the hidden model, as the refinement loop learns it.
   Automaton partial = stateSkeleton(s.hidden);
   for (StateId st = 0; st < s.hidden.stateCount(); ++st) {
     for (const auto& t : s.hidden.transitionsFrom(st)) {
@@ -324,29 +322,38 @@ OracleResult checkO4(const Scenario& s, const OracleOptions&) {
     }
   }
 
-  automata::IncrementalComposer composer(s.context);
-  const auto check = [&](const Automaton& other,
-                         const char* what) -> std::optional<std::string> {
-    const auto inc = composer.compose({&other});
-    const auto scratch = automata::composeAll({&s.context, &other});
-    if (canonicalText(inc.automaton) != canonicalText(scratch.automaton)) {
-      return "O4: incremental product not isomorphic to full recomposition (" +
-             std::string(what) + ")";
+  const std::vector<std::pair<std::vector<const Automaton*>, const char*>>
+      products = {{{&s.context, &partial}, "context || partial"},
+                  {{&s.context, &s.hidden}, "context || hidden"},
+                  {{&s.hidden, &s.context}, "hidden || context"}};
+  for (const auto& [parts, what] : products) {
+    // (a) The materialized exploration is the reference fold: toText
+    // covers names, initial markers and transition order, canonicalText the
+    // labels.
+    const automata::Product explored = automata::explore(parts).materialize();
+    const automata::Product fold = automata::composeReference(parts);
+    if (explored.automaton.toText() != fold.automaton.toText() ||
+        canonicalText(explored.automaton) != canonicalText(fold.automaton) ||
+        explored.automaton.initialStates() != fold.automaton.initialStates() ||
+        explored.origins != fold.origins) {
+      return violation("O4: explorer product differs from the reference "
+                       "fold (" + std::string(what) + ")");
     }
-    return std::nullopt;
-  };
-  const std::vector<std::pair<const Automaton*, const char*>> calls = {
-      {&partial, "partial model"},
-      {&s.hidden, "grown model"},
-      {&s.hidden, "repeat call"}};
-  for (const auto& [other, what] : calls) {
-    if (auto err = check(*other, what)) return violation(std::move(*err));
-  }
-  if (composer.lastStats().statesNew != 0) {
-    return violation(
-        "O4: repeat composition interned " +
-        std::to_string(composer.lastStats().statesNew) +
-        " new product states (arena reuse broken)");
+    // (b) The on-the-fly deadlock search is the materialized check: same
+    // verdict, notes and runs.
+    for (const std::size_t k : {1u, 3u}) {
+      ctl::VerifyOptions vo;
+      vo.maxCounterexamples = k;
+      const auto onTheFly = ctl::verify(
+          automata::explore(parts, {.stopAfterDeadlocks = k}), nullptr, vo);
+      const auto full = ctl::verify(explored.automaton, nullptr, vo);
+      if (onTheFly.holds != full.holds ||
+          onTheFly.counterexamples != full.counterexamples) {
+        return violation("O4: on-the-fly deadlock search (k=" +
+                         std::to_string(k) + ") differs from the "
+                         "materialized check (" + std::string(what) + ")");
+      }
+    }
   }
   return {};
 }
@@ -420,7 +427,7 @@ const char* toString(OracleId id) {
       return "O2";
     case OracleId::O3VerdictSound:
       return "O3";
-    case OracleId::O4IncrementalCompose:
+    case OracleId::O4ExplorerAgreement:
       return "O4";
     case OracleId::O5VerdictInvariance:
       return "O5";
@@ -439,7 +446,7 @@ std::optional<OracleId> oracleFromString(std::string_view text) {
 
 std::vector<OracleId> allOracles() {
   return {OracleId::O1CheckerAgreement, OracleId::O2ChaosSafety,
-          OracleId::O3VerdictSound, OracleId::O4IncrementalCompose,
+          OracleId::O3VerdictSound, OracleId::O4ExplorerAgreement,
           OracleId::O5VerdictInvariance, OracleId::O6PresolveSound};
 }
 
@@ -453,8 +460,9 @@ const char* describeOracle(OracleId id) {
     case OracleId::O3VerdictSound:
       return "integration verdict matches the concrete ground truth "
              "(Lemmas 5/6)";
-    case OracleId::O4IncrementalCompose:
-      return "incremental composition isomorphic to full recomposition";
+    case OracleId::O4ExplorerAgreement:
+      return "explorer equals the reference fold; on-the-fly deadlock "
+             "search equals the materialized check";
     case OracleId::O5VerdictInvariance:
       return "verdicts invariant under minimization and state renaming";
     case OracleId::O6PresolveSound:
@@ -489,7 +497,7 @@ OracleResult checkOracle(OracleId id, const Scenario& s,
       return checkO2(s, opts);
     case OracleId::O3VerdictSound:
       return checkO3(s, opts);
-    case OracleId::O4IncrementalCompose:
+    case OracleId::O4ExplorerAgreement:
       return checkO4(s, opts);
     case OracleId::O5VerdictInvariance:
       return checkO5(s, opts);

@@ -14,8 +14,10 @@
 //       concrete composition satisfies φ ∧ ¬δ (Lemma 5), and RealError
 //       implies it does not (Lemma 6 — replayed counterexamples admit no
 //       false negatives).
-//   O4  IncrementalComposer products are isomorphic to full recomposition
-//       across model revisions, and repeat calls reuse the whole arena.
+//   O4  The explorer (automata::explore) materializes the same product as
+//       the reference fold (automata::composeReference), state for state,
+//       and its on-the-fly deadlock search (k = 1 and 3) gives the same
+//       verdict, notes and runs as ctl::verify on the materialized product.
 //   O5  CCTL verdicts are invariant under bisimulation minimization and
 //       under state renaming/reordering (automata::shuffledCopy).
 //   O6  Pre-solve soundness: when analysis::presolveIntegration returns a
@@ -40,7 +42,7 @@ enum class OracleId {
   O1CheckerAgreement,
   O2ChaosSafety,
   O3VerdictSound,
-  O4IncrementalCompose,
+  O4ExplorerAgreement,
   O5VerdictInvariance,
   O6PresolveSound,
 };

@@ -87,8 +87,6 @@ StatsReport aggregateJournals(const std::vector<std::string>& journals) {
         it.modelTransitions = getU(*obj, "modelTransitions");
         it.closureStates = getU(*obj, "closureStates");
         it.productStates = getU(*obj, "productStates");
-        it.statesNew = getU(*obj, "statesNew");
-        it.statesReused = getU(*obj, "statesReused");
         it.checkPassed = getB(*obj, "checkPassed");
         it.cexKind = getS(*obj, "cexKind");
         it.cexLength = getU(*obj, "cexLength");
@@ -148,7 +146,7 @@ std::string renderStatsText(const StatsReport& report) {
   std::string out;
   if (!report.iterations.empty()) {
     util::TextTable table({"run", "iter", "model S", "closure S", "product S",
-                           "new", "reused", "check", "cex", "learned",
+                           "check", "cex", "learned",
                            "periods", "cl ms", "co ms", "ck ms", "te ms"});
     for (const IterationStat& it : report.iterations) {
       std::string cex = "-";
@@ -160,7 +158,6 @@ std::string renderStatsText(const StatsReport& report) {
                  std::to_string(it.modelStates),
                  std::to_string(it.closureStates),
                  std::to_string(it.productStates),
-                 std::to_string(it.statesNew), std::to_string(it.statesReused),
                  it.checkPassed ? "pass" : "fail", cex,
                  std::to_string(it.learnedFacts),
                  std::to_string(it.testPeriods), util::fmt(it.closureMs),
@@ -214,8 +211,6 @@ std::string renderStatsJson(const StatsReport& report) {
         .u("modelTransitions", it.modelTransitions)
         .u("closureStates", it.closureStates)
         .u("productStates", it.productStates)
-        .u("statesNew", it.statesNew)
-        .u("statesReused", it.statesReused)
         .b("checkPassed", it.checkPassed)
         .s("cexKind", it.cexKind)
         .u("cexLength", it.cexLength)

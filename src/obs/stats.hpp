@@ -16,8 +16,6 @@ struct IterationStat {
   std::uint64_t modelTransitions = 0;
   std::uint64_t closureStates = 0;
   std::uint64_t productStates = 0;
-  std::uint64_t statesNew = 0;
-  std::uint64_t statesReused = 0;
   bool checkPassed = false;
   std::string cexKind;  // "", "deadlock", "property"
   std::uint64_t cexLength = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <stdexcept>
 
 #include "automata/minimize.hpp"
@@ -70,8 +71,7 @@ IntegrationResult IntegrationVerifier::run() {
                    baseFields()
                        .u("legacies", legacies_.size())
                        .s("property", config_.property)
-                       .u("maxIterations", config_.maxIterations)
-                       .b("incrementalCompose", config_.incrementalCompose));
+                       .u("maxIterations", config_.maxIterations));
   }
 
   ctl::FormulaPtr phi;
@@ -105,8 +105,6 @@ IntegrationResult IntegrationVerifier::run() {
   const bool needPess = config_.requireDeadlockFree;
 
   const auto accumulate = [&res](const IterationRecord& rec) {
-    res.totalProductStatesNew += rec.productStatesNew;
-    res.totalProductStatesReused += rec.productStatesReused;
     res.totalClosureMs += rec.closureMs;
     res.totalComposeMs += rec.composeMs;
     res.totalCheckMs += rec.checkMs;
@@ -127,8 +125,6 @@ IntegrationResult IntegrationVerifier::run() {
                        .u("modelForbidden", rec.modelForbidden)
                        .u("closureStates", rec.closureStates)
                        .u("productStates", rec.productStates)
-                       .u("statesNew", rec.productStatesNew)
-                       .u("statesReused", rec.productStatesReused)
                        .b("checkPassed", rec.checkPassed)
                        .s("cexKind", cexKind)
                        .u("cexLength", rec.cexLength)
@@ -199,50 +195,30 @@ IntegrationResult IntegrationVerifier::run() {
     }
     rec.closureMs = lapMs();
 
-    // Closure states are rebuilt every round, but their *origins* (kind +
-    // known-model state) are stable: learned models only grow, and closure
-    // state names/labels are functions of the origin. That makes the origin
-    // the safe arena key for cross-iteration reuse.
-    const auto keyFor = [](const std::vector<automata::Closure>& cs) {
-      return [&cs](std::size_t k, automata::StateId s) -> std::uint64_t {
-        if (k == 0) return s;  // the context is fixed
-        const auto& o = cs[k - 1].origins[s];
-        const std::uint64_t known =
-            o.kind == automata::Closure::Kind::Copy0 ||
-                    o.kind == automata::Closure::Kind::Copy1
-                ? o.knownState
-                : 0;
-        return (std::uint64_t{static_cast<std::uint8_t>(o.kind)} << 32) |
-               known;
-      };
+    // The pessimistic product only has to show deadlock freedom, so under
+    // the shortest-counterexample search its exploration stops at the
+    // counterexamplesPerCheck-th deadlock (ctl::verify then reads the runs
+    // off the BFS tree); the optimistic product is explored in full for the
+    // property check.
+    const bool onTheFly = config_.search == ctl::CexSearch::Shortest;
+    const auto explore = [&](const std::vector<automata::Closure>& cs,
+                             std::size_t stopAfter) {
+      std::vector<const automata::Automaton*> parts{&context_};
+      for (const auto& c : cs) parts.push_back(&c.automaton);
+      return automata::explore(parts, {.stopAfterDeadlocks = stopAfter});
     };
-    const auto composeWith =
-        [&](const std::vector<automata::Closure>& cs,
-            std::optional<automata::IncrementalComposer>& composer) {
-          std::vector<const automata::Automaton*> parts;
-          if (config_.incrementalCompose) {
-            for (const auto& c : cs) parts.push_back(&c.automaton);
-            if (!composer) composer.emplace(context_);
-            automata::Product p = composer->compose(parts, keyFor(cs));
-            rec.productStatesNew += composer->lastStats().statesNew;
-            rec.productStatesReused += composer->lastStats().statesReused;
-            return p;
-          }
-          parts.push_back(&context_);
-          for (const auto& c : cs) parts.push_back(&c.automaton);
-          automata::Product p = automata::composeAll(parts);
-          rec.productStatesNew += p.automaton.stateCount();
-          return p;
-        };
-    std::optional<automata::Product> productPess, productOpt;
+    std::optional<automata::Exploration> productPess, productOpt;
     {
       const obs::ObsSpan span("compose", config_.ulid);
       if (progress != nullptr) progress->setPhase("compose");
-      if (needPess) productPess = composeWith(closuresPess, composerPess_);
-      if (needOpt) productOpt = composeWith(closuresOpt, composerOpt_);
+      if (needPess) {
+        productPess = explore(closuresPess,
+                              onTheFly ? config_.counterexamplesPerCheck : 0);
+      }
+      if (needOpt) productOpt = explore(closuresOpt, 0);
     }
-    rec.productStates = productPess ? productPess->automaton.stateCount()
-                        : productOpt ? productOpt->automaton.stateCount()
+    rec.productStates = productPess ? productPess->stateCount()
+                        : productOpt ? productOpt->stateCount()
                                      : 0;
     rec.composeMs = lapMs();
 
@@ -257,9 +233,9 @@ IntegrationResult IntegrationVerifier::run() {
       vo.search = config_.search;
       vo.traceId = config_.ulid;
       vo.requireDeadlockFree = false;
-      if (needOpt) propRes = ctl::verify(productOpt->automaton, phi, vo);
+      if (needOpt) propRes = ctl::verify(*productOpt, phi, vo);
       vo.requireDeadlockFree = true;
-      if (needPess) dlRes = ctl::verify(productPess->automaton, nullptr, vo);
+      if (needPess) dlRes = ctl::verify(*productPess, nullptr, vo);
     }
     rec.checkPassed = propRes.holds && dlRes.holds;
     rec.checkMs = lapMs();
@@ -293,7 +269,7 @@ IntegrationResult IntegrationVerifier::run() {
     bool realError = false;
     bool unsupported = false;
     const auto process = [&](const ctl::VerifyResult& vres,
-                             const automata::Product& product,
+                             const automata::Exploration& product,
                              const std::vector<automata::Closure>& closures) {
       for (const auto& cex : vres.counterexamples) {
         if (cancelled()) return;
@@ -391,8 +367,6 @@ IntegrationResult IntegrationVerifier::run() {
                        .u("iterations", res.iterations)
                        .u("learnedFacts", res.totalLearnedFacts)
                        .u("testPeriods", res.totalTestPeriods)
-                       .u("productStatesNew", res.totalProductStatesNew)
-                       .u("productStatesReused", res.totalProductStatesReused)
                        .f("closureMs", res.totalClosureMs)
                        .f("composeMs", res.totalComposeMs)
                        .f("checkMs", res.totalCheckMs)
@@ -409,7 +383,7 @@ IntegrationResult runIntegration(automata::Automaton context,
 }
 
 IntegrationVerifier::CexHandling IntegrationVerifier::handleCounterexample(
-    const ctl::Counterexample& cex, const automata::Product& product,
+    const ctl::Counterexample& cex, const automata::Exploration& product,
     const std::vector<automata::Closure>& closures, IterationRecord& rec) {
   const automata::Run& run = cex.run;
 
@@ -418,7 +392,7 @@ IntegrationVerifier::CexHandling IntegrationVerifier::handleCounterexample(
   for (std::size_t pos = 0; pos < run.states.size(); ++pos) {
     for (std::size_t k = 0; k < legacies_.size(); ++k) {
       if (chaosAt[k] != kNoChaos) continue;
-      const automata::StateId cs = product.origins[run.states[pos]][k + 1];
+      const automata::StateId cs = product.origin(run.states[pos])[k + 1];
       if (closures[k].isChaos(cs)) chaosAt[k] = pos;
     }
   }
@@ -487,7 +461,7 @@ IntegrationVerifier::CexHandling IntegrationVerifier::handleCounterexample(
     bool anyUnknown = false;
     bool anyEscape = false;
     for (std::size_t k = 0; k < legacies_.size(); ++k) {
-      const automata::StateId cs = product.origins[p][k + 1];
+      const automata::StateId cs = product.origin(p)[k + 1];
       const automata::StateId sk = closures[k].knownOrigin(cs);
       for (const auto& x : jointOffers(product, parts, closures, p, k)) {
         if (models_[k].base().hasTransition(sk, x)) {
@@ -529,7 +503,7 @@ IntegrationVerifier::CexHandling IntegrationVerifier::handleCounterexample(
 }
 
 std::vector<automata::Interaction> IntegrationVerifier::jointOffers(
-    const automata::Product& product,
+    const automata::Exploration& product,
     const std::vector<const automata::Automaton*>& parts,
     const std::vector<automata::Closure>& closures, automata::StateId p,
     std::size_t legacyIdx) const {
@@ -570,7 +544,7 @@ std::vector<automata::Interaction> IntegrationVerifier::jointOffers(
       emit();
       return;
     }
-    automata::StateId s = product.origins[p][others[idx]];
+    automata::StateId s = product.origin(p)[others[idx]];
     if (others[idx] > 0) {
       // Another legacy's closure: move to the copy-1 twin so its chaotic
       // (possible-but-unknown) moves participate in the offers.

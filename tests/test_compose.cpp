@@ -3,8 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <deque>
+#include <vector>
+
 #include "automata/compose.hpp"
+#include "automata/explorer.hpp"
 #include "automata/random.hpp"
+#include "ctl/checker.hpp"
 #include "helpers.hpp"
 
 namespace mui::automata {
@@ -230,6 +237,159 @@ TEST(Compose, RenderRunPaperStyle) {
   const std::string dtext = p.renderRun(dead);
   EXPECT_NE(dtext.find("[blocked]"), std::string::npos);
   EXPECT_NE(dtext.find("DEADLOCK"), std::string::npos);
+}
+
+// ---- The explorer against the reference fold ------------------------------
+
+/// A legacy, a context that talks to it, and a bystander with its own
+/// signals: a 3-component product with synchronization and interleaving.
+struct Trio {
+  Tables t;
+  Automaton legacy, context, bystander;
+
+  explicit Trio(std::uint64_t seed)
+      : legacy(randomAutomaton(spec(6, seed, "lg"), t.signals, t.props)),
+        context(mirrored(subAutomaton(legacy, 60, seed + 101, "lg_sub"),
+                         "ctx")),
+        bystander(randomAutomaton(spec(3, seed + 7, "by"), t.signals,
+                                  t.props)) {}
+
+  static RandomSpec spec(std::size_t states, std::uint64_t seed,
+                         const char* name) {
+    RandomSpec s;
+    s.states = states;
+    s.seed = seed;
+    s.name = name;
+    return s;
+  }
+  [[nodiscard]] std::vector<const Automaton*> parts() const {
+    return {&context, &legacy, &bystander};
+  }
+};
+
+TEST(Explorer, ThreeComponentProductEqualsTheFoldStateForState) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const Trio trio(seed);
+    const Product explored = explore(trio.parts()).materialize();
+    const Product fold = composeReference(trio.parts());
+    const Automaton& a = explored.automaton;
+    const Automaton& b = fold.automaton;
+    ASSERT_EQ(a.stateCount(), b.stateCount()) << "seed " << seed;
+    EXPECT_GT(a.stateCount(), trio.bystander.stateCount()) << "seed " << seed;
+    EXPECT_EQ(a.name(), b.name());
+    EXPECT_EQ(a.initialStates(), b.initialStates());
+    EXPECT_EQ(explored.origins, fold.origins);
+    for (StateId s = 0; s < a.stateCount(); ++s) {
+      EXPECT_EQ(a.stateName(s), b.stateName(s));
+      EXPECT_EQ(a.labels(s), b.labels(s));
+      EXPECT_EQ(a.transitionsFrom(s), b.transitionsFrom(s)) << a.stateName(s);
+    }
+  }
+}
+
+TEST(Explorer, CappedStatesAreNeverDeadlocks) {
+  const Trio trio(3);
+  const Exploration full = explore(trio.parts());
+  ASSERT_GT(full.stateCount(), 4u);
+  const Exploration capped = explore(trio.parts(), {.stateCap = 4});
+  EXPECT_TRUE(capped.capped());
+  EXPECT_FALSE(full.capped());
+  EXPECT_EQ(capped.stateCount(), 4u);
+  const ctl::Checker checker(capped);
+  std::size_t unexpanded = 0;
+  for (StateId s = 0; s < capped.stateCount(); ++s) {
+    if (capped.expanded(s)) continue;
+    ++unexpanded;
+    EXPECT_FALSE(checker.isDeadlockState(s));
+    EXPECT_EQ(std::count(capped.deadlocks().begin(), capped.deadlocks().end(),
+                         s),
+              0);
+  }
+  EXPECT_GT(unexpanded, 0u);
+}
+
+TEST(Explorer, ParentTreeRunsAreShortest) {
+  const Trio trio(5);
+  const Exploration g = explore(trio.parts());
+  const Automaton m = g.materialize().automaton;
+  // Independent BFS distances over the materialized product.
+  std::vector<std::size_t> dist(m.stateCount(), SIZE_MAX);
+  std::deque<StateId> work;
+  for (const StateId q : m.initialStates()) {
+    dist[q] = 0;
+    work.push_back(q);
+  }
+  while (!work.empty()) {
+    const StateId s = work.front();
+    work.pop_front();
+    for (const auto& t : m.transitionsFrom(s)) {
+      if (dist[t.to] == SIZE_MAX) {
+        dist[t.to] = dist[s] + 1;
+        work.push_back(t.to);
+      }
+    }
+  }
+  for (StateId s = 0; s < g.stateCount(); ++s) {
+    const ARun run = g.runTo(s);
+    EXPECT_EQ(run.states.back(), s);
+    EXPECT_EQ(run.length(), dist[s]) << g.stateName(s);
+    EXPECT_TRUE(m.admitsRun(run));
+  }
+}
+
+TEST(Explorer, StopsAtTheKthDeadlock) {
+  std::size_t stoppedEarly = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const Trio trio(seed);
+    const Exploration full = explore(trio.parts());
+    const Exploration early = explore(trio.parts(), {.stopAfterDeadlocks = 1});
+    if (full.deadlocks().empty()) {
+      EXPECT_EQ(early.stateCount(), full.stateCount());
+      continue;
+    }
+    ASSERT_EQ(early.deadlocks().size(), 1u);
+    EXPECT_EQ(early.deadlocks()[0], full.deadlocks()[0]);
+    EXPECT_LE(early.stateCount(), full.stateCount());
+    stoppedEarly += early.stateCount() < full.stateCount() ? 1 : 0;
+    EXPECT_EQ(early.runTo(early.deadlocks()[0]),
+              full.runTo(full.deadlocks()[0]));
+  }
+  EXPECT_GT(stoppedEarly, 0u);
+}
+
+TEST(Explorer, LazyNamesAndRenderRunMatchTheFold) {
+  const Trio trio(2);
+  const Exploration g = explore(trio.parts());
+  const Product fold = composeReference(trio.parts());
+  for (StateId s = 0; s < g.stateCount(); ++s) {
+    EXPECT_EQ(g.stateName(s), fold.automaton.stateName(s));
+    const ARun run = g.runTo(s);
+    EXPECT_EQ(g.renderRun(run), fold.renderRun(run));
+    ARun dead = run;  // the blocked-interaction form of a deadlock run
+    if (dead.labels.empty()) continue;
+    dead.deadlock = true;
+    dead.states.pop_back();
+    EXPECT_EQ(g.renderRun(dead), fold.renderRun(dead));
+  }
+}
+
+TEST(Explorer, RejectsEmptyForeignAndNonComposableInputs) {
+  Handshake h;
+  EXPECT_THROW(explore({}), std::invalid_argument);
+  EXPECT_THROW(composeReference({}), std::invalid_argument);
+
+  Tables other;
+  Automaton foreign(other.signals, other.props, "foreign");
+  foreign.addState("f0");
+  foreign.markInitial(0);
+  EXPECT_THROW(explore({&h.sender, &foreign}), std::invalid_argument);
+
+  Automaton clash(h.t.signals, h.t.props, "clash");
+  clash.addOutput("msg");  // output overlap with sender
+  clash.addState("c0");
+  clash.markInitial(0);
+  EXPECT_THROW(explore({&h.receiver, &h.sender, &clash}),
+               std::invalid_argument);
 }
 
 }  // namespace

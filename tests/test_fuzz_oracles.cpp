@@ -210,7 +210,7 @@ TEST(FuzzCampaign, OracleSubsetOnlyRunsRequestedOracles) {
   FuzzOptions opts;
   opts.seed = 3;
   opts.runs = 5;
-  opts.oracles = {OracleId::O4IncrementalCompose,
+  opts.oracles = {OracleId::O4ExplorerAgreement,
                   OracleId::O5VerdictInvariance};
   const FuzzReport report = runCampaign(opts);
   EXPECT_EQ(report.checks.size(), 2u);

@@ -130,8 +130,8 @@ SPIN="$WORK/spin.manifest"
   echo "default model=$MODELS_DIR/watchdog.muml pattern=Watchdog role=device"
   # Distinct max-iterations values give every job a distinct cache key, so
   # each one really runs the refinement loop and /jobs has time to observe
-  # the queue.
-  for i in $(seq 1 40); do
+  # the queue (a job takes well under a millisecond, hence the count).
+  for i in $(seq 1 150); do
     echo "job name=spin-$i hidden=deviceCompliant max-iterations=$((1000 + i))"
   done
 } >"$SPIN"
