@@ -7,9 +7,13 @@
 // it times the worklist Checker against the retained naive ReferenceChecker
 // on the same products and formula set, cross-checks every satisfaction set
 // state-by-state, and writes BENCH_modelcheck.json (schema in
-// docs/PERFORMANCE.md). With MUI_BENCH_SMOKE=1 only small sizes run and the
-// micro benches are skipped; a satisfaction-set mismatch fails the process
-// either way (the perf-smoke CI gate).
+// docs/PERFORMANCE.md). A bounded leads-to tier, AG (p -> AF[1,d] q) for
+// d in {8, 32, 128}, adds the checker's work counter per instance: the
+// distance labelling makes a bounded window cost the same whatever its
+// width, so the mui_ctl_worklist_pops_total delta must not grow with d.
+// With MUI_BENCH_SMOKE=1 only small sizes run and the micro benches are
+// skipped; a satisfaction-set mismatch or pops growing with d fails the
+// process either way (the perf-smoke CI gate).
 
 #include <benchmark/benchmark.h>
 
@@ -22,6 +26,7 @@
 #include "ctl/counterexample.hpp"
 #include "ctl/parser.hpp"
 #include "ctl/reference.hpp"
+#include "obs/metrics.hpp"
 
 namespace {
 
@@ -75,15 +80,16 @@ void BM_BoundedLeadsTo(benchmark::State& state) {
     benchmark::DoNotOptimize(ctl::verify(prod.automaton, phi, opts));
   }
 }
-BENCHMARK(BM_BoundedLeadsTo)->Arg(2)->Arg(8)->Arg(32);
+BENCHMARK(BM_BoundedLeadsTo)->Arg(2)->Arg(8)->Arg(32)->Arg(128);
 
 void BM_FixpointOperators(benchmark::State& state) {
   bench::Tables t;
   const auto prod = makeProduct(t, static_cast<std::size_t>(state.range(0)), 9);
-  ctl::Checker checker(prod.automaton);
   const auto phi =
       ctl::parseFormula("A[!lg.lg_q2 U (lg.lg_q2 || deadlock)] && EG !deadlock");
   for (auto _ : state) {
+    // A checker memoizes per formula node, so each round gets a fresh one.
+    ctl::Checker checker(prod.automaton);
     benchmark::DoNotOptimize(checker.evaluate(phi));
   }
 }
@@ -195,6 +201,97 @@ bool runWorkload(const Workload& w, std::string& json) {
   return allMatch;
 }
 
+/// The bounded leads-to tier: AG (p -> AF[1,d] q) on random products, d in
+/// {8, 32, 128}. Each instance is cross-checked against the reference and
+/// records the pops counter delta of one worklist evaluation (construction
+/// included). Appends a JSON object to `json`; returns false on a mismatch
+/// or when the pops of a size grow with d.
+bool runLeadsToTier(bool smoke, std::string& json) {
+  static const char* const kFormula = "AG (lg.lg_q1 -> AF[1,d] ctxa.lg_q0)";
+  const std::vector<std::size_t> sizes =
+      smoke ? std::vector<std::size_t>{16} : std::vector<std::size_t>{64, 256};
+  const std::size_t widths[] = {8, 32, 128};
+  obs::Counter& pops = obs::Registry::global().counter(
+      "mui_ctl_worklist_pops_total",
+      "States popped from CTL fixpoint worklists");
+  util::TextTable table({"size", "d", "product states", "reference ms",
+                         "worklist ms", "speedup", "worklist pops", "match"});
+  json += "\"leadsTo\":{\"formula\":\"" + bench::jsonEscape(kFormula) +
+          "\",\"instances\":[";
+  bool allMatch = true, popsFlat = true;
+  bool first = true;
+  for (const std::size_t size : sizes) {
+    bench::Tables t;
+    const auto prod = makeProduct(t, size, 3);
+    const std::size_t n = prod.automaton.stateCount();
+    std::uint64_t narrowest = 0;
+    for (const std::size_t d : widths) {
+      const auto phi = ctl::parseFormula("AG (lg.lg_q1 -> AF[1," +
+                                         std::to_string(d) + "] ctxa.lg_q0)");
+      double refMs = -1, fastMs = -1;
+      std::vector<char> refSat;
+      ctl::SatSet fastSat;
+      std::uint64_t instancePops = 0;
+      for (int rep = 0; rep < 3; ++rep) {
+        bench::Stopwatch w1;
+        ctl::ReferenceChecker ref(prod.automaton);
+        refSat = ref.evaluate(phi);
+        const double r = w1.ms();
+        refMs = refMs < 0 ? r : std::min(refMs, r);
+
+        const std::uint64_t before = pops.value();
+        bench::Stopwatch w2;
+        ctl::Checker fast(prod.automaton);
+        fastSat = fast.evaluate(phi);
+        const double g = w2.ms();
+        instancePops = pops.value() - before;
+        fastMs = fastMs < 0 ? g : std::min(fastMs, g);
+      }
+      bool match = true;
+      for (automata::StateId s = 0; s < n; ++s) {
+        if (fastSat.test(s) != static_cast<bool>(refSat[s])) {
+          std::fprintf(stderr, "MISMATCH: leads-to size %zu d %zu state %u\n",
+                       size, d, s);
+          match = false;
+        }
+      }
+      if (d == widths[0]) narrowest = instancePops;
+      const bool flat = instancePops <= narrowest;
+      if (!flat) {
+        std::fprintf(stderr,
+                     "WORK GATE: leads-to size %zu d %zu pops %llu > %llu "
+                     "at d %zu\n",
+                     size, d, static_cast<unsigned long long>(instancePops),
+                     static_cast<unsigned long long>(narrowest), widths[0]);
+      }
+      allMatch = allMatch && match;
+      popsFlat = popsFlat && flat;
+      const double speedup = fastMs > 0 ? refMs / fastMs : 0;
+      table.row({std::to_string(size), std::to_string(d), std::to_string(n),
+                 util::fmt(refMs, 2), util::fmt(fastMs, 2),
+                 util::fmt(speedup, 1) + "x", std::to_string(instancePops),
+                 match ? "yes" : "NO"});
+      if (!first) json += ',';
+      first = false;
+      json += "{\"size\":" + std::to_string(size) +
+              ",\"d\":" + std::to_string(d) +
+              ",\"productStates\":" + std::to_string(n) +
+              ",\"productTransitions\":" +
+              std::to_string(prod.automaton.transitionCount()) +
+              ",\"referenceMs\":" + util::fmt(refMs, 3) +
+              ",\"worklistMs\":" + util::fmt(fastMs, 3) +
+              ",\"speedup\":" + util::fmt(speedup, 2) +
+              ",\"worklistPops\":" + std::to_string(instancePops) +
+              ",\"verdictsMatch\":" + (match ? "true" : "false") + "}";
+    }
+  }
+  json += "],\"popsFlatInD\":";
+  json += popsFlat ? "true" : "false";
+  json += "}";
+  std::printf("-- bounded leads-to: %s\n%s\n", kFormula, table.str().c_str());
+  return allMatch && popsFlat;
+}
+
 /// Reference-vs-worklist speedup harness. Two workloads: shallow random
 /// products (breadth) and deep ring products (diameter — where the naive
 /// sweeps degenerate to O(S²)). Returns false on any disagreement.
@@ -229,7 +326,9 @@ bool runSpeedupHarness(bool smoke) {
   bool allMatch = runWorkload(random, json);
   json += ',';
   allMatch = runWorkload(deep, json) && allMatch;
-  json += "]}\n";
+  json += "],";
+  allMatch = runLeadsToTier(smoke, json) && allMatch;
+  json += "}\n";
   bench::writeBenchJson("BENCH_modelcheck.json", json);
   return allMatch;
 }
@@ -239,7 +338,7 @@ bool runSpeedupHarness(bool smoke) {
 int main(int argc, char** argv) {
   const bool smoke = mui::bench::smokeMode();
   const bool ok = runSpeedupHarness(smoke);
-  if (!ok) return 1;      // correctness gate — timing never fails the run
+  if (!ok) return 1;  // correctness and work gates — timing never fails it
   if (smoke) return 0;    // CI: skip the micro benches
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

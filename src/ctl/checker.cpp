@@ -1,6 +1,7 @@
 #include "ctl/checker.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -9,8 +10,10 @@ namespace mui::ctl {
 
 namespace {
 
-/// Worklist pops across all fixpoint computations. Hot loops count into a
-/// local and flush once per fixpoint, so the hot path stays atomic-free.
+/// Worklist pops across all fixpoint computations and distance labellings
+/// (a sweep before a bounded window counts one per state). Hot loops count
+/// into a local and flush once per fixpoint, so the hot path stays
+/// atomic-free.
 obs::Counter& popsCounter() {
   static obs::Counter& c = obs::Registry::global().counter(
       "mui_ctl_worklist_pops_total",
@@ -83,6 +86,27 @@ std::vector<StateId> statesOf(const SatSet& sat) {
   }
   return work;
 }
+
+/// Distance of a state that never reaches the target.
+constexpr std::uint32_t kFar = std::numeric_limits<std::uint32_t>::max();
+
+bool withinBudget(std::uint32_t dist, std::size_t budget) {
+  return dist != kFar && dist <= budget;
+}
+
+/// The states whose distance is within `budget`.
+SatSet within(const std::vector<std::uint32_t>& dist, std::size_t budget) {
+  SatSet sat(dist.size());
+  for (StateId s = 0; s < dist.size(); ++s) {
+    if (withinBudget(dist[s], budget)) sat.set(s);
+  }
+  return sat;
+}
+
+SatSet complement(SatSet sat) {
+  sat.flip();
+  return sat;
+}
 }  // namespace
 
 // AF φ (least fixpoint): φ, or all successors already satisfy AF φ and at
@@ -111,37 +135,6 @@ SatSet Checker::fixAF(const SatSet& phi) {
   }
   popsCounter().add(pops);
   return sat;
-}
-
-// EF φ: plain backward reachability of the φ states.
-SatSet Checker::fixEF(const SatSet& phi) {
-  SatSet sat = phi;
-  std::vector<StateId> work = statesOf(sat);
-  std::uint64_t pops = 0;
-  while (!work.empty()) {
-    const StateId t = work.back();
-    work.pop_back();
-    ++pops;
-    forPred(t, [&](StateId s) {
-      if (!sat[s]) {
-        sat.set(s);
-        work.push_back(s);
-      }
-    });
-  }
-  popsCounter().add(pops);
-  return sat;
-}
-
-// AG φ (greatest fixpoint): φ here and at every successor transitively —
-// equivalently ¬EF ¬φ, so one backward closure of the ¬φ states suffices;
-// deadlock states satisfy the continuation vacuously.
-SatSet Checker::fixAG(const SatSet& phi) {
-  SatSet bad = phi;
-  bad.flip();
-  bad = fixEF(bad);
-  bad.flip();
-  return bad;
 }
 
 // EG φ (greatest fixpoint, weak): φ along some maximal path — the path may
@@ -203,148 +196,234 @@ SatSet Checker::fixAU(const SatSet& phi, const SatSet& psi) {
   return sat;
 }
 
-SatSet Checker::fixEU(const SatSet& phi, const SatSet& psi) {
-  SatSet sat = psi;
-  std::vector<StateId> work = statesOf(sat);
+// EF φ and E[φ U ψ] are backward reachability: the states at a finite
+// shortest distance. AG φ (greatest fixpoint) is ¬EF ¬φ: φ here and at every
+// successor transitively; deadlock states satisfy the continuation
+// vacuously.
+SatSet Checker::fixpoint(Op op, const SatSet& phi, const SatSet& psi) {
+  switch (op) {
+    case Op::AF:
+      return fixAF(phi);
+    case Op::EF:
+      return within(shortestDistance(phi, nullptr), Bound::kInf);
+    case Op::AG:
+      return complement(
+          within(shortestDistance(complement(phi), nullptr), Bound::kInf));
+    case Op::EG:
+      return fixEG(phi);
+    case Op::AU:
+      return fixAU(phi, psi);
+    case Op::EU:
+      return within(shortestDistance(psi, &phi), Bound::kInf);
+    default:
+      throw std::logic_error("Checker::fixpoint: bad operator");
+  }
+}
+
+// Longest distance to `target` over the maximal paths (AF / AU over
+// [0, d]): 0 on the target, otherwise one more than the farthest successor,
+// kFar if some maximal path misses the target (it ends in a deadlock or
+// cycles outside it). Kahn order with the pending-successor counters of
+// fixAF: a state is final once its last successor is. An unexpanded state
+// of a capped exploration has no known successor, so its continuation holds
+// vacuously from one step on (distance 1), as in the positional recurrence.
+std::vector<std::uint32_t> Checker::longestDistance(const SatSet& target,
+                                                    const SatSet* via) {
+  const std::size_t n = g_.stateCount();
+  std::vector<std::uint32_t> dist(n, kFar);
+  std::vector<std::uint32_t> pending(n);
+  std::vector<std::uint32_t> farthest(n, 0);
+  std::vector<StateId> work;
+  for (StateId s = 0; s < n; ++s) {
+    pending[s] = static_cast<std::uint32_t>(outDegree(s));
+    if (target[s]) {
+      dist[s] = 0;
+      work.push_back(s);
+    } else if (pending[s] == 0 && !deadlock_[s] &&
+               (via == nullptr || (*via)[s])) {
+      dist[s] = 1;  // unexpanded
+      work.push_back(s);
+    }
+  }
   std::uint64_t pops = 0;
   while (!work.empty()) {
     const StateId t = work.back();
     work.pop_back();
     ++pops;
     forPred(t, [&](StateId s) {
-      if (!sat[s] && phi[s]) {
-        sat.set(s);
+      if (dist[s] != kFar || (via != nullptr && !(*via)[s])) return;
+      farthest[s] = std::max(farthest[s], dist[t]);
+      if (--pending[s] == 0) {
+        dist[s] = farthest[s] + 1;
         work.push_back(s);
       }
     });
   }
   popsCounter().add(pops);
-  return sat;
+  return dist;
 }
 
-// Positional evaluation of bounded (or lower-bounded) temporal operators.
-// sat_i(s) answers "does the operator hold at s seen as position i of the
-// window"; computed backwards from the window end. For hi == inf the value
-// at position lo is the corresponding unbounded fixpoint. The result is
-// sat_0. (`psi` is used only for AU/EU.)
-SatSet Checker::boundedTemporal(Op op, const Bound& b, const SatSet& phi,
-                                const SatSet& psi) {
-  const std::size_t n = g_.stateCount();
-  const bool universal = (op == Op::AF || op == Op::AG || op == Op::AU);
-  const bool isG = (op == Op::AG || op == Op::EG);
-  const bool isU = (op == Op::AU || op == Op::EU);
-
-  // Empty window: G-type trivially true, F/U-type trivially false.
-  if (b.bounded() && b.hi < b.lo) {
-    return SatSet(n, isG);
-  }
-
-  // cur = sat at position i+1 while computing position i.
-  SatSet cur(n);
-  std::size_t start;  // first position computed going backwards is start-1
-  if (!b.bounded()) {
-    // Position lo == unbounded fixpoint; then walk lo-1 .. 0.
-    switch (op) {
-      case Op::AF:
-        cur = fixAF(phi);
-        break;
-      case Op::EF:
-        cur = fixEF(phi);
-        break;
-      case Op::AG:
-        cur = fixAG(phi);
-        break;
-      case Op::EG:
-        cur = fixEG(phi);
-        break;
-      case Op::AU:
-        cur = fixAU(phi, psi);
-        break;
-      case Op::EU:
-        cur = fixEU(phi, psi);
-        break;
-      default:
-        throw std::logic_error("boundedTemporal: bad operator");
-    }
-    start = b.lo;
-  } else {
-    // Position hi: last chance for F/U; last constrained position for G.
-    const SatSet& target = isU ? psi : phi;
-    if (isG || b.hi >= b.lo) cur = target;
-    start = b.hi;
-  }
-
-  SatSet next(n);
-  for (std::size_t i = start; i-- > 0;) {
-    const bool inWindow = i >= b.lo;
-    for (StateId s = 0; s < n; ++s) {
-      // Continuation through the successors.
-      bool contAll = true, contAny = false;
-      forSucc(s, [&](StateId t) {
-        if (cur[t]) {
-          contAny = true;
-        } else {
-          contAll = false;
-        }
-      });
-      bool v;
-      if (isG) {
-        const bool here = !inWindow || phi[s];
-        // Weak semantics: a path that ends imposes/offers nothing further.
-        const bool cont = universal ? contAll  // vacuous on deadlock
-                                    : (deadlock_[s] ? true : contAny);
-        v = here && cont;
-      } else if (isU) {
-        const bool fulfilled = inWindow && psi[s];
-        const bool cont =
-            phi[s] && !deadlock_[s] && (universal ? contAll : contAny);
-        v = fulfilled || cont;
-      } else {  // F
-        const bool fulfilled = inWindow && phi[s];
-        const bool cont = !deadlock_[s] && (universal ? contAll : contAny);
-        v = fulfilled || cont;
+// Shortest distance to `target` (EF / EU over [0, d]): backward BFS.
+std::vector<std::uint32_t> Checker::shortestDistance(const SatSet& target,
+                                                     const SatSet* via) {
+  std::vector<std::uint32_t> dist(g_.stateCount(), kFar);
+  std::vector<StateId> work = statesOf(target);
+  for (const StateId s : work) dist[s] = 0;
+  for (std::size_t head = 0; head < work.size(); ++head) {
+    const StateId t = work[head];
+    forPred(t, [&](StateId s) {
+      if (dist[s] == kFar && (via == nullptr || (*via)[s])) {
+        dist[s] = dist[t] + 1;
+        work.push_back(s);
       }
-      next.assign(s, v);
-    }
-    std::swap(cur, next);
+    });
   }
+  popsCounter().add(work.size());
+  return dist;
+}
+
+// Bounded (or lower-bounded) temporal operators. sat_i(s) answers "does the
+// operator hold at s seen as position i of the window"; the result is
+// sat_0. Position lo is the operator over [0, hi − lo] (over [0, ∞], the
+// unbounded fixpoint, when hi == inf); positions lo−1 .. 0 lie before the
+// window and are swept backwards one at a time. (`psi` is used only for
+// AU/EU.)
+SatSet Checker::temporal(Op op, const Bound& b, const SatSet& phi,
+                         const SatSet& psi) {
+  if (b.bounded() && b.hi < b.lo) {
+    // Empty window: G-type trivially true, F/U-type trivially false.
+    return SatSet(g_.stateCount(), op == Op::AG || op == Op::EG);
+  }
+  SatSet cur = b.bounded() ? windowStart(op, b.hi - b.lo, phi, psi)
+                           : fixpoint(op, phi, psi);
+  for (std::size_t i = b.lo; i-- > 0;) cur = stepBack(op, phi, cur);
   return cur;
 }
 
-SatSet Checker::evaluate(const FormulaPtr& f) {
+// The operator over [0, budget]: states within `budget` of the target. AG
+// and EG go through their duals: AG[0,d] φ = ¬EF[0,d] ¬φ and EG[0,d] φ =
+// ¬AF[0,d] ¬φ under the weak semantics (a path that ends imposes nothing).
+SatSet Checker::windowStart(Op op, std::size_t budget, const SatSet& phi,
+                            const SatSet& psi) {
+  switch (op) {
+    case Op::AF:
+      return within(longestDistance(phi, nullptr), budget);
+    case Op::EF:
+      return within(shortestDistance(phi, nullptr), budget);
+    case Op::AU:
+      return within(longestDistance(psi, &phi), budget);
+    case Op::EU:
+      return within(shortestDistance(psi, &phi), budget);
+    case Op::AG:
+      return complement(
+          within(shortestDistance(complement(phi), nullptr), budget));
+    case Op::EG:
+      return complement(
+          within(longestDistance(complement(phi), nullptr), budget));
+    default:
+      throw std::logic_error("Checker::windowStart: bad operator");
+  }
+}
+
+// One position before the window, from the next position's set: nothing
+// is required or fulfilled here, only the continuation counts. The sweep
+// visits every state once and counts that as one pop each, so the pops
+// counter shows what a window costs.
+SatSet Checker::stepBack(Op op, const SatSet& phi, const SatSet& next) const {
   const std::size_t n = g_.stateCount();
-  switch (f->op) {
+  const bool universal = (op == Op::AF || op == Op::AG || op == Op::AU);
+  SatSet sat(n);
+  for (StateId s = 0; s < n; ++s) {
+    bool contAll = true, contAny = false;
+    forSucc(s, [&](StateId t) {
+      if (next[t]) {
+        contAny = true;
+      } else {
+        contAll = false;
+      }
+    });
+    bool v;
+    if (op == Op::AG || op == Op::EG) {
+      // Weak semantics: a path that ends imposes nothing further.
+      v = universal ? contAll : (deadlock_[s] || contAny);
+    } else {
+      const bool guard = op == Op::AU || op == Op::EU ? phi[s] : true;
+      v = guard && !deadlock_[s] && (universal ? contAll : contAny);
+    }
+    sat.assign(s, v);
+  }
+  popsCounter().add(n);
+  return sat;
+}
+
+Checker::AFWindow Checker::afWindow(const FormulaPtr& chi, const Bound& b) {
+  AFWindow w;
+  w.bound_ = b;
+  if (b.bounded() && b.hi < b.lo) return w;  // empty window: never holds
+  const SatSet& target = evaluate(chi);
+  SatSet cur;
+  if (b.bounded()) {
+    w.dist_ = longestDistance(target, nullptr);
+    cur = within(w.dist_, b.hi - b.lo);
+  } else {
+    w.fixpoint_ = fixAF(target);
+    cur = w.fixpoint_;
+  }
+  w.before_.resize(b.lo);
+  for (std::size_t i = b.lo; i-- > 0;) {
+    cur = stepBack(Op::AF, target, cur);
+    w.before_[i] = cur;
+  }
+  return w;
+}
+
+bool Checker::AFWindow::holds(StateId s, std::size_t j) const {
+  if (j < before_.size()) return before_[j][s];
+  if (!bound_.bounded()) return fixpoint_[s];
+  return bound_.lo <= j && j <= bound_.hi &&
+         withinBudget(dist_[s], bound_.hi - j);
+}
+
+const SatSet& Checker::evaluate(const FormulaPtr& f) {
+  if (const auto it = memo_.find(f); it != memo_.end()) return it->second;
+  SatSet sat = compute(*f);
+  return memo_.emplace(f, std::move(sat)).first->second;
+}
+
+SatSet Checker::compute(const Formula& f) {
+  const std::size_t n = g_.stateCount();
+  switch (f.op) {
     case Op::True:
       return SatSet(n, true);
     case Op::False:
       return SatSet(n);
     case Op::Atom:
-      return atomSat(f->atom);
+      return atomSat(f.atom);
     case Op::Deadlock:
       return deadlock_;
     case Op::Not: {
-      auto v = evaluate(f->lhs);
+      SatSet v = evaluate(f.lhs);
       v.flip();
       return v;
     }
     case Op::And: {
-      auto a = evaluate(f->lhs);
-      a &= evaluate(f->rhs);
+      SatSet a = evaluate(f.lhs);
+      a &= evaluate(f.rhs);
       return a;
     }
     case Op::Or: {
-      auto a = evaluate(f->lhs);
-      a |= evaluate(f->rhs);
+      SatSet a = evaluate(f.lhs);
+      a |= evaluate(f.rhs);
       return a;
     }
     case Op::Implies: {
-      auto a = evaluate(f->lhs);
+      SatSet a = evaluate(f.lhs);
       a.flip();
-      a |= evaluate(f->rhs);
+      a |= evaluate(f.rhs);
       return a;
     }
     case Op::AX: {
-      const auto p = evaluate(f->lhs);
+      const SatSet& p = evaluate(f.lhs);
       SatSet v(n);
       for (StateId s = 0; s < n; ++s) {
         bool all = true;
@@ -354,7 +433,7 @@ SatSet Checker::evaluate(const FormulaPtr& f) {
       return v;
     }
     case Op::EX: {
-      const auto p = evaluate(f->lhs);
+      const SatSet& p = evaluate(f.lhs);
       SatSet v(n);
       for (StateId s = 0; s < n; ++s) {
         bool any = false;
@@ -366,37 +445,17 @@ SatSet Checker::evaluate(const FormulaPtr& f) {
     case Op::AF:
     case Op::EF:
     case Op::AG:
-    case Op::EG: {
-      const auto p = evaluate(f->lhs);
-      if (f->bound.lo == 0 && !f->bound.bounded()) {
-        switch (f->op) {
-          case Op::AF:
-            return fixAF(p);
-          case Op::EF:
-            return fixEF(p);
-          case Op::AG:
-            return fixAG(p);
-          default:
-            return fixEG(p);
-        }
-      }
-      return boundedTemporal(f->op, f->bound, p, SatSet(n));
-    }
+    case Op::EG:
+      return temporal(f.op, f.bound, evaluate(f.lhs), SatSet(n));
     case Op::AU:
-    case Op::EU: {
-      const auto p = evaluate(f->lhs);
-      const auto q = evaluate(f->rhs);
-      if (f->bound.lo == 0 && !f->bound.bounded()) {
-        return f->op == Op::AU ? fixAU(p, q) : fixEU(p, q);
-      }
-      return boundedTemporal(f->op, f->bound, p, q);
-    }
+    case Op::EU:
+      return temporal(f.op, f.bound, evaluate(f.lhs), evaluate(f.rhs));
   }
   throw std::logic_error("Checker::evaluate: unknown operator");
 }
 
 bool Checker::holds(const FormulaPtr& f) {
-  const auto sat = evaluate(f);
+  const SatSet& sat = evaluate(f);
   for (StateId q : g_.initialStates()) {
     if (!sat[q]) return false;
   }

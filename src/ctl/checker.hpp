@@ -19,9 +19,18 @@
 // Gauss–Seidel sweeps of the retained reference implementation
 // (ctl/reference.hpp). Satisfaction sets are dense bitsets (one bit per
 // state, word-parallel boolean connectives).
+//
+// A bounded operator over [lo, hi] is, at window position lo, the operator
+// over [0, hi − lo]; that set is one distance labelling over the same index
+// (longest distance to the target for AF/AU, shortest for EF/EU, AG and EG
+// through their duals), so the window costs O(S + E) whatever hi is. Only
+// the lo positions before the window are swept one by one. Every formula
+// node is evaluated once per checker (satisfaction sets are memoized).
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -45,8 +54,27 @@ class Checker {
   explicit Checker(const Exploration& g);
   explicit Checker(const Automaton& m);
 
-  /// Satisfaction set (per state) of `f`.
-  SatSet evaluate(const FormulaPtr& f);
+  /// Satisfaction set (per state) of `f`, computed once per formula node;
+  /// the reference stays valid for the checker's lifetime.
+  const SatSet& evaluate(const FormulaPtr& f);
+
+  /// AF[b] χ seen from every position of its window: holds(s, j) answers
+  /// whether s satisfies AF[lo − j, hi − j] χ (lower end clamped at 0), the
+  /// obligation left after j steps. One labelling (one fixpoint if
+  /// unbounded) plus lo sweeps answer every position; the counterexample
+  /// generator walks its ¬AF witnesses along it.
+  class AFWindow {
+   public:
+    [[nodiscard]] bool holds(StateId s, std::size_t j) const;
+
+   private:
+    friend class Checker;
+    Bound bound_;
+    std::vector<SatSet> before_;       // positions 0 .. lo-1
+    std::vector<std::uint32_t> dist_;  // bounded: positions lo .. hi
+    SatSet fixpoint_;                  // unbounded: positions lo ..
+  };
+  AFWindow afWindow(const FormulaPtr& chi, const Bound& b);
 
   /// True iff every initial state satisfies `f`.
   bool holds(const FormulaPtr& f);
@@ -67,19 +95,30 @@ class Checker {
 
  private:
   void buildIndex();
+  SatSet compute(const Formula& f);
   SatSet atomSat(const std::string& name);
 
-  // Unbounded fixpoints (worklist, O(S + E) each).
+  // Unbounded fixpoints (worklist, O(S + E) each); EF, EU and AG go through
+  // the shortest distance (see fixpoint).
   SatSet fixAF(const SatSet& phi);
-  SatSet fixEF(const SatSet& phi);
-  SatSet fixAG(const SatSet& phi);
   SatSet fixEG(const SatSet& phi);
   SatSet fixAU(const SatSet& phi, const SatSet& psi);
-  SatSet fixEU(const SatSet& phi, const SatSet& psi);
 
-  // Positional (bounded / lower-bounded) evaluation; see checker.cpp.
-  SatSet boundedTemporal(Op op, const Bound& b, const SatSet& phi,
-                         const SatSet& psi);
+  SatSet fixpoint(Op op, const SatSet& phi, const SatSet& psi);
+
+  // Distance labellings (see checker.cpp); states outside `via` (if given)
+  // are never entered.
+  std::vector<std::uint32_t> longestDistance(const SatSet& target,
+                                             const SatSet* via);
+  std::vector<std::uint32_t> shortestDistance(const SatSet& target,
+                                              const SatSet* via);
+
+  // Bounded / lower-bounded evaluation; see checker.cpp.
+  SatSet temporal(Op op, const Bound& b, const SatSet& phi,
+                  const SatSet& psi);
+  SatSet windowStart(Op op, std::size_t budget, const SatSet& phi,
+                     const SatSet& psi);
+  SatSet stepBack(Op op, const SatSet& phi, const SatSet& next) const;
 
   // CSR slices over the duplicate-free successor/predecessor lists.
   [[nodiscard]] std::size_t outDegree(StateId s) const {
@@ -108,6 +147,7 @@ class Checker {
   SatSet deadlock_;
   std::vector<std::string> unknownAtoms_;
   std::unordered_set<std::string> unknownAtomSet_;
+  std::unordered_map<FormulaPtr, SatSet> memo_;  // per formula node
 };
 
 }  // namespace mui::ctl

@@ -53,8 +53,12 @@ std::vector<Run> searchPaths(const Exploration& m, const SatSet& target,
 
   const auto visit = [&](StateId s, std::size_t depth, std::size_t parent,
                          const Interaction& via) {
+    // Without an upper bound every depth >= lo is one layer: the window
+    // cannot tell those depths apart, and a search keyed by each of them
+    // would circle a cycle forever.
+    const std::size_t layer = hi == Bound::kInf ? std::min(depth, lo) : depth;
     if (windowed ? depth > hi || !visitedAtDepth.insert(
-                                     (std::uint64_t{depth} << 32) | s).second
+                                     (std::uint64_t{layer} << 32) | s).second
                  : std::exchange(visited[s], 1) != 0) {
       return;
     }
@@ -88,10 +92,13 @@ std::vector<Run> searchPaths(const Exploration& m, const SatSet& target,
 }
 
 /// Appends to `run` a suffix from its final state witnessing ¬AF[a,b]χ: a
-/// maximal-path prefix along which χ never holds inside the window. Returns
-/// false if the invariant (final state violates the AF) does not hold.
+/// maximal-path prefix along which χ never holds inside the window. Each
+/// step takes the first edge whose target violates the obligation left at
+/// that position, read off one AFWindow. Returns false if the invariant
+/// (final state violates the AF) does not hold.
 bool appendNotAFWitness(Checker& checker, const Exploration& m, Run& run,
                         const FormulaPtr& chi, Bound bound) {
+  const Checker::AFWindow window = checker.afWindow(chi, bound);
   StateId cur = run.states.back();
   std::size_t i = 0;
   std::unordered_set<StateId> seenSinceLo;
@@ -102,13 +109,9 @@ bool appendNotAFWitness(Checker& checker, const Exploration& m, Run& run,
       // Unbounded tail: stop at a lasso (state revisited after lo).
       if (!seenSinceLo.insert(cur).second) return true;
     }
-    // The AF obligation seen from position i+1 of the original window.
-    const Bound remaining{bound.lo > i + 1 ? bound.lo - (i + 1) : 0,
-                          bound.bounded() ? bound.hi - (i + 1) : Bound::kInf};
-    const auto sat = checker.evaluate(Formula::mkAF(chi, remaining));
     bool advanced = false;
     for (const auto& e : m.edges(cur)) {
-      if (!sat[e.to]) {
+      if (!window.holds(e.to, i + 1)) {
         run.labels.push_back(m.interaction(e.label));
         run.states.push_back(e.to);
         cur = e.to;
@@ -159,9 +162,9 @@ bool extendWitness(Checker& checker, const Exploration& m, Run& run,
   if (isPropositional(psi)) return true;
   switch (psi->op) {
     case Op::And: {
-      const auto l = checker.evaluate(psi->lhs);
+      const SatSet& l = checker.evaluate(psi->lhs);
       if (!l[s]) return extendWitness(checker, m, run, psi->lhs, l);
-      const auto r = checker.evaluate(psi->rhs);
+      const SatSet& r = checker.evaluate(psi->rhs);
       return extendWitness(checker, m, run, psi->rhs, r);
     }
     case Op::Or: {
@@ -185,7 +188,7 @@ bool extendWitness(Checker& checker, const Exploration& m, Run& run,
     }
     case Op::Implies: {
       // ¬(a → b): a holds here, b fails — extend along b's failure.
-      const auto r = checker.evaluate(psi->rhs);
+      const SatSet& r = checker.evaluate(psi->rhs);
       return extendWitness(checker, m, run, psi->rhs, r);
     }
     case Op::AF:
@@ -200,7 +203,7 @@ void collectPropertyCexs(Checker& checker, const Exploration& m,
                          const FormulaPtr& phi, const VerifyOptions& opts,
                          std::vector<Counterexample>& out) {
   if (out.size() >= opts.maxCounterexamples) return;
-  const auto sat = checker.evaluate(phi);
+  const SatSet& sat = checker.evaluate(phi);
   bool fails = false;
   StateId badInitial = 0;
   for (StateId q : m.initialStates()) {
@@ -222,7 +225,7 @@ void collectPropertyCexs(Checker& checker, const Exploration& m,
       break;  // conjunction fails only jointly — fall through to approximate
     }
     case Op::AG: {
-      const auto inner = checker.evaluate(phi->lhs);
+      const SatSet& inner = checker.evaluate(phi->lhs);
       SatSet bad = inner;
       bad.flip();
       const bool windowed = phi->bound.lo > 0 || phi->bound.bounded();

@@ -1,6 +1,7 @@
 #pragma once
 // Shared helpers for the MUI test suite.
 
+#include <cstdint>
 #include <initializer_list>
 #include <memory>
 #include <string>
@@ -32,5 +33,15 @@ inline automata::Interaction ia(automata::SignalTable& table,
 
 /// The idle step (∅, ∅).
 inline automata::Interaction idle() { return {}; }
+
+/// 64-bit FNV-1a of `text`: pins rendered runs and satisfaction sets.
+inline std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : text) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
 
 }  // namespace mui::test

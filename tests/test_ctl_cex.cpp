@@ -14,6 +14,7 @@ namespace {
 
 using automata::Automaton;
 using automata::Interaction;
+using test::fnv1a;
 using test::Tables;
 
 /// s0 -> s1 -> bad(p). s0 -> far -> far2 -> bad2(p). bad2 deadlocks.
@@ -183,6 +184,72 @@ TEST(Cex, UnknownAtomsSurfacedInResult) {
   EXPECT_TRUE(r.holds);  // atom is false everywhere, so AG ! holds
   ASSERT_EQ(r.unknownAtoms.size(), 1u);
   EXPECT_EQ(r.unknownAtoms[0], "nonexistent_atom");
+}
+
+/// a ⇄ b, a → c, c → c with c bad; a's edge to c comes first, so a
+/// depth-first search takes a → b before a → c.
+Automaton lowerBoundModel(const Tables& t) {
+  Automaton m(t.signals, t.props, "m");
+  m.addOutput("step");
+  const Interaction x = test::ia(*t.signals, {}, {"step"});
+  for (const char* n : {"a", "b", "c"}) m.addState(n);
+  m.markInitial(0);
+  m.addTransition(0, x, 2);
+  m.addTransition(0, x, 1);
+  m.addTransition(1, x, 0);
+  m.addTransition(2, x, 2);
+  m.addLabel(2, "bad");
+  return m;
+}
+
+TEST(Cex, DepthFirstLowerBoundedInvariantTerminates) {
+  // Keyed by every depth, the depth-first search would circle a ⇄ b
+  // forever; all depths from the lower bound on form one layer.
+  Tables t;
+  const Automaton m = lowerBoundModel(t);
+  VerifyOptions opts;
+  opts.requireDeadlockFree = false;
+  opts.search = CexSearch::DepthFirst;
+  const auto r = verify(m, parseFormula("AG[2,inf] !bad"), opts);
+  ASSERT_FALSE(r.holds);
+  ASSERT_EQ(r.counterexamples.size(), 1u);
+  const auto& cex = r.cex();
+  EXPECT_TRUE(cex.pathExact);
+  EXPECT_TRUE(m.admitsRun(cex.run));
+  EXPECT_GE(cex.run.length(), 2u);
+  EXPECT_EQ(m.stateName(cex.run.states.back()), "c");
+}
+
+TEST(Cex, ShortestLowerBoundedInvariantRunsArePinned) {
+  // One layer for all depths >= lo must not change the breadth-first run:
+  // pinned from the search keyed by every depth.
+  std::string rendered;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Tables t;
+    automata::RandomSpec spec;
+    spec.states = 4 + seed % 13;
+    spec.seed = seed;
+    spec.name = "r";
+    spec.deterministic = seed % 2 == 0;
+    spec.noLocalDeadlocks = seed % 3 != 0;
+    const Automaton m = automata::randomAutomaton(spec, t.signals, t.props);
+    const std::string bad =
+        "r.r_q" + std::to_string((seed * 3) % spec.states);
+    for (const char* lo : {"1", "2", "4"}) {
+      VerifyOptions opts;
+      opts.requireDeadlockFree = false;
+      const auto r = verify(
+          m, parseFormula("AG[" + std::string(lo) + ",inf] !" + bad), opts);
+      rendered += bad + "@" + lo + (r.holds ? " holds\n" : " fails\n");
+      for (const auto& cex : r.counterexamples) {
+        for (const auto s : cex.run.states) {
+          rendered += m.stateName(s) + " ";
+        }
+        rendered += cex.pathExact ? "exact\n" : "approx\n";
+      }
+    }
+  }
+  EXPECT_EQ(fnv1a(rendered), 0xd08df548739fb7b6ull) << rendered;
 }
 
 }  // namespace

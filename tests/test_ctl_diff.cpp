@@ -4,7 +4,10 @@
 //  - ctl::Checker (worklist fixpoints over a predecessor index, dense
 //    bitsets) against ctl::ReferenceChecker (the retained naive sweep
 //    implementation) on random models and random CCTL formulas, including
-//    the bounded operators;
+//    the bounded operators over windows up to 44 units wide;
+//  - bounded satisfaction sets on a capped exploration and a bounded-response
+//    counterexample run, pinned from the positional evaluation (one sweep per
+//    window position) that the distance labellings replaced;
 //  - IntegrationVerifier outcomes (verdicts, iterations, learned facts,
 //    test periods, rendered counterexamples) pinned from the build before
 //    the product explorer and the on-the-fly deadlock search.
@@ -16,11 +19,17 @@
 #include <vector>
 
 #include "automata/automaton.hpp"
+#include "automata/explorer.hpp"
 #include "automata/random.hpp"
+#include "automata/rename.hpp"
 #include "ctl/checker.hpp"
+#include "ctl/counterexample.hpp"
 #include "ctl/formula.hpp"
+#include "ctl/parser.hpp"
 #include "ctl/reference.hpp"
 #include "helpers.hpp"
+#include "muml/integration.hpp"
+#include "muml/loader.hpp"
 #include "muml/shuttle.hpp"
 #include "synthesis/verifier.hpp"
 #include "testing/legacy.hpp"
@@ -35,6 +44,7 @@ using automata::StateId;
 using ctl::Bound;
 using ctl::Formula;
 using ctl::FormulaPtr;
+using test::fnv1a;
 using test::Tables;
 
 FormulaPtr randomFormula(util::Rng& rng, std::size_t depth) {
@@ -150,6 +160,110 @@ TEST(CtlDifferential, HoldsAgreesOnInitialStates) {
   }
 }
 
+// ---- Bounded operators over wide windows ----------------------------------
+
+/// Models of 5 to 50 states; every other one is nondeterministic and every
+/// third keeps genuine deadlock states.
+Automaton makeWideModel(Tables& t, std::uint64_t seed) {
+  automata::RandomSpec spec;
+  spec.states = 5 + (seed * 7) % 46;
+  spec.seed = seed;
+  spec.name = "w";
+  spec.deterministic = seed % 2 == 0;
+  spec.noLocalDeadlocks = seed % 3 != 0;
+  Automaton a = automata::randomAutomaton(spec, t.signals, t.props);
+  util::Rng rng(seed + 7);
+  for (StateId s = 0; s < a.stateCount(); ++s) {
+    if (rng.chance(30, 100)) a.addLabel(s, "p");
+    if (rng.chance(50, 100)) a.addLabel(s, "q");
+  }
+  return a;
+}
+
+/// One of the six bounded temporal operators over `b`, with random
+/// propositional or shallow temporal operands.
+FormulaPtr randomBoundedFormula(util::Rng& rng, Bound b) {
+  const auto operand = [&] { return randomFormula(rng, rng.below(2)); };
+  switch (rng.below(6)) {
+    case 0:
+      return Formula::mkAF(operand(), b);
+    case 1:
+      return Formula::mkEF(operand(), b);
+    case 2:
+      return Formula::mkAG(operand(), b);
+    case 3:
+      return Formula::mkEG(operand(), b);
+    case 4:
+      return Formula::mkAU(operand(), operand(), b);
+    default:
+      return Formula::mkEU(operand(), operand(), b);
+  }
+}
+
+TEST(CtlDifferential, WideWindowsMatchReference) {
+  std::size_t deadlockModels = 0;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    Tables t;
+    const Automaton a = makeWideModel(t, seed);
+    ctl::Checker fast(a);
+    ctl::ReferenceChecker ref(a);
+    for (StateId s = 0; s < a.stateCount(); ++s) {
+      if (ref.isDeadlockState(s)) {
+        ++deadlockModels;
+        break;
+      }
+    }
+    util::Rng rng(seed * 6151);
+    for (int i = 0; i < 60; ++i) {
+      const std::size_t lo = rng.below(7);
+      const FormulaPtr f =
+          randomBoundedFormula(rng, Bound{lo, lo + rng.below(45)});
+      const auto& fastSat = fast.evaluate(f);
+      const auto refSat = ref.evaluate(f);
+      ASSERT_EQ(fastSat.size(), refSat.size());
+      for (StateId s = 0; s < a.stateCount(); ++s) {
+        ASSERT_EQ(fastSat.test(s), static_cast<bool>(refSat[s]))
+            << "seed " << seed << " formula " << f->toString() << " state "
+            << s << " (" << a.stateName(s) << ")";
+      }
+    }
+  }
+  EXPECT_GT(deadlockModels, 0u);
+}
+
+TEST(CtlDifferential, BoundedSetsOnCappedExplorationArePinned) {
+  // A capped exploration leaves its frontier unexpanded: those states have
+  // no known successor and are not deadlocks. The bounded operators must
+  // treat them exactly as the positional evaluation did.
+  std::string bits;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Tables t;
+    const Automaton a = makeWideModel(t, seed * 5);
+    const Automaton ctx = automata::mirrored(a, "ctx");
+    automata::ExploreLimits limits;
+    limits.stateCap = a.stateCount() / 2;
+    const auto g = automata::explore({&a, &ctx}, limits);
+    ASSERT_TRUE(g.capped()) << seed;
+    ctl::Checker checker(g);
+    for (const char* text :
+         {"AF[0,0] p", "AF[0,3] p", "AF[1,4] q", "AF[2,2] (p || q)",
+          "AF[3,9] q", "AF[2,inf] p", "EF[0,3] p", "EF[2,7] (p && q)",
+          "EF[3,inf] q", "AG[0,2] q", "AG[1,5] !p", "AG[2,inf] q",
+          "EG[0,3] q", "EG[2,6] !p", "EG[1,inf] q", "A[q U[0,4] p]",
+          "A[q U[2,5] p]", "E[q U[1,6] p]", "E[!p U[3,inf] p]",
+          "AG (p -> AF[1,3] q)"}) {
+      const auto& sat = checker.evaluate(ctl::parseFormula(text));
+      bits += text;
+      bits += ':';
+      for (StateId s = 0; s < g.stateCount(); ++s) {
+        bits += sat.test(s) ? '1' : '0';
+      }
+      bits += '\n';
+    }
+  }
+  EXPECT_EQ(fnv1a(bits), 0x4befc597a08b2b0bull) << bits;
+}
+
 // ---- Verifier: verdicts pinned across the explorer rewrite ---------------
 
 /// One scenario's outcome, pinned from the build that composed with the
@@ -164,15 +278,6 @@ struct Pinned {
   std::uint64_t testPeriods;
   std::uint64_t cexHash;
 };
-
-std::uint64_t fnv1a(const std::string& text) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const unsigned char c : text) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
 
 void expectPinned(const synthesis::IntegrationResult& res, const Pinned& pin) {
   EXPECT_EQ(res.verdict, pin.verdict) << pin.scenario;
@@ -248,6 +353,56 @@ TEST(VerifierDifferential, RandomScenariosIdenticalWithAndWithoutCaching) {
       expectPinned(runRandomScenario(states, seed), pins[i++]);
     }
   }
+}
+
+// ---- A bounded-response violation, end to end ----------------------------
+
+TEST(VerifierDifferential, BoundedResponseViolationRunsArePinned) {
+  // deviceSlow answers two ticks after the ping, so the monitor's response
+  // bound of one tick fails while the pattern constraint still holds.
+  const auto model =
+      muml::loadModelFile(std::string(MUI_MODELS_DIR) + "/watchdog.muml");
+  const auto& pattern = model.patterns.at("Watchdog");
+  const auto scenario =
+      muml::makeIntegrationScenario(pattern, 1, model.signals, model.props);
+  const std::string property = "(" + scenario.property +
+                               ") && AG (monitor.waiting -> AF[1,1] "
+                               "monitor.idle)";
+  const Automaton device =
+      automata::withInstanceName(model.automata.at("deviceSlow"), "device");
+
+  // ctl::verify on the concrete product, every search order and count.
+  const auto g = automata::explore({&device, &scenario.context});
+  const auto phi = ctl::parseFormula(property);
+  std::string rendered;
+  for (const auto search :
+       {ctl::CexSearch::Shortest, ctl::CexSearch::DepthFirst}) {
+    for (const std::size_t k : {1u, 3u}) {
+      ctl::VerifyOptions opts;
+      opts.search = search;
+      opts.maxCounterexamples = k;
+      const auto r = ctl::verify(g, phi, opts);
+      EXPECT_FALSE(r.holds);
+      for (const auto& cex : r.counterexamples) {
+        rendered += (cex.kind == ctl::Counterexample::Kind::Property ? "P "
+                                                                     : "D ");
+        rendered += (cex.pathExact ? "exact " : "approx ") + cex.note + "\n";
+        rendered += g.renderRun(cex.run);
+      }
+      rendered += "--\n";
+    }
+  }
+  EXPECT_EQ(fnv1a(rendered), 0x425996f1ae141c4dull) << rendered;
+
+  // The integration loop, whose witnesses extend through the chaos closure.
+  testing::AutomatonLegacy legacy(device);
+  synthesis::IntegrationConfig cfg;
+  cfg.property = property;
+  cfg.keepTraces = true;
+  expectPinned(
+      synthesis::IntegrationVerifier(scenario.context, legacy, cfg).run(),
+      {"deviceSlow", synthesis::Verdict::RealError, 3, 6, 8,
+       0x5ad015edaf9bf5bcull});
 }
 
 }  // namespace
